@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import Graph
 from .stable import AlphaResult, EnumerationResult
 
-CACHE_SCHEMA = "sumcol-cache-v1"
+CACHE_SCHEMA = "sumcol-cache-v2"
 
 
 def _graph_digest(g: Graph) -> str:
@@ -144,10 +145,16 @@ class SolveCache:
             "timings": timings,
         }
         path = self._path(g, cfg)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        os.replace(tmp, path)
+        # one temporary file per writer, so concurrent stores of the same key
+        # never write into each other's file before the atomic rename
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{path.stem}.", suffix=".tmp")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def clear(self) -> int:
         """Delete all cache entries, returning how many were removed."""

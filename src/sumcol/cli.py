@@ -73,7 +73,6 @@ def _build_config(args, *, count_cap: int | None = None,
         enum_time_limit=limits.get("enum", 60.0),
         alpha_tilde_time_limit=limits.get("alpha-tilde", 60.0),
         count_cap=count_cap if count_cap is not None else args.count_cap,
-        mis_graph_cap=5000,
         known_chi_lb=known_chi_lb,
         alpha_override=getattr(args, "alpha", None),
     )

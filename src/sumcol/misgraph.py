@@ -2,17 +2,26 @@
 
 Once the maximum independent sets of a graph are enumerated, they become
 vertices of a new graph where two sets are adjacent iff they share a
-vertex. The stability number of that intersection graph says how many
-color classes of maximum size can coexist, which caps the m parameter of
-the bound formulas.
+vertex. The stability number of that intersection graph, alpha~, says how
+many color classes of maximum size can coexist, which caps the m parameter
+of the bound formulas.
+
+alpha~ never exceeds its cap, min(#sets, |union| // smallest set size).
+When equal-size sets can tile their union at that cap, reaching it is an
+exact-cover problem, which Knuth's Algorithm X settles (arXiv cs/0011047)
+long before a clique search would; the clique search runs otherwise, and
+ends as soon as it reaches the cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+import time
+from dataclasses import dataclass, replace
 
+from . import stable
 from .graph import Graph
-from .stable import AlphaResult, Budget, max_independent_set
+from .stable import AlphaResult, Budget, _Deadline, _Timeout
 
 
 @dataclass(frozen=True)
@@ -30,13 +39,24 @@ class MisGraph:
         return Graph(self.n, self.adj, name="mis-graph")
 
 
+def _holders(members) -> dict[int, int]:
+    """Bitmask over member indices of the members holding each vertex."""
+    holders: dict[int, int] = {}
+    for i, member in enumerate(members):
+        bit = 1 << i
+        for v in member:
+            holders[v] = holders.get(v, 0) | bit
+    return holders
+
+
 def build_mis_graph(sets) -> MisGraph:
     """Wire up the intersection graph of the given vertex sets.
 
+    Row i is the union of the holder masks of the vertices in set i, less
+    set i itself: O(#sets * set size) big-int ORs rather than a test per pair.
     Raises on an empty collection, an empty member set, or duplicate sets.
     """
     members = []
-    masks = []
     seen = set()
     for s in sets:
         member = tuple(sorted(s))
@@ -45,26 +65,107 @@ def build_mis_graph(sets) -> MisGraph:
         if member in seen:
             raise ValueError(f"duplicate set {member}")
         seen.add(member)
-        mask = 0
-        for v in member:
-            mask |= 1 << v
         members.append(member)
-        masks.append(mask)
     if not members:
         raise ValueError("need at least one set")
-    count = len(members)
-    adj = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if masks[i] & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    holders = _holders(members)
+    adj = []
+    for i, member in enumerate(members):
+        row = 0
+        for v in member:
+            row |= holders[v]
+        adj.append(row ^ (1 << i))
     return MisGraph(tuple(members), tuple(adj))
 
 
+def _exact_cover(mg: MisGraph, deadline: _Deadline) -> tuple[int, ...] | None:
+    """Member indices that partition the members' union, or None if none do.
+
+    Algorithm X over bitmasks: branch on the uncovered vertex held by the
+    fewest members still disjoint from the chosen ones. Raises _Timeout once
+    the deadline passes.
+    """
+    holders = _holders(mg.members)
+    masks = [sum(1 << v for v in member) for member in mg.members]
+    adj = mg.adj
+    chosen: list[int] = []
+
+    def cover(uncovered: int, alive: int) -> bool:
+        if deadline.expired():
+            raise _Timeout
+        if not uncovered:
+            return True
+        options, fewest = 0, None
+        rest = uncovered
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            held = holders[b.bit_length() - 1] & alive
+            count = held.bit_count()
+            if fewest is None or count < fewest:
+                options, fewest = held, count
+                if count <= 1:
+                    break
+        while options:
+            b = options & -options
+            options ^= b
+            i = b.bit_length() - 1
+            chosen.append(i)
+            if cover(uncovered & ~masks[i], alive & ~adj[i] & ~b):
+                return True
+            chosen.pop()
+        return False
+
+    needed = mg.n + 64
+    if sys.getrecursionlimit() < needed:
+        sys.setrecursionlimit(needed)
+    union = 0
+    for mask in masks:
+        union |= mask
+    if cover(union, (1 << mg.n) - 1):
+        return tuple(sorted(chosen))
+    return None
+
+
+def max_independent_set(mg: MisGraph, budget: Budget | None = None) -> AlphaResult:
+    """alpha~ of the intersection graph, searched no further than its cap.
+
+    cap = min(#sets, |union| // smallest set size) bounds alpha~ from above.
+    When every set has one size and cap sets of it would exactly cover the
+    union, an exact-cover search runs first: a cover makes alpha~ = cap
+    ("exact-cover"), and a proof that none exists lowers the cap by one. The
+    clique search then runs on the remaining budget and stops at the cap. A
+    search stopped by the budget reports min(kernel fallback, cap),
+    exact=False (method "cap" when the cap is the smaller).
+    """
+    budget = budget or Budget()
+    start = time.monotonic()
+    sizes = {len(member) for member in mg.members}
+    smallest = min(sizes)
+    union = len(set().union(*mg.members))
+    cap = min(mg.n, union // smallest)
+    if len(sizes) == 1 and cap * smallest == union:
+        try:
+            tiling = _exact_cover(mg, _Deadline(budget.time_limit, stride=16))
+        except _Timeout:
+            return AlphaResult(cap, False, time.monotonic() - start, "cap")
+        if tiling is not None:
+            return AlphaResult(cap, True, time.monotonic() - start, "exact-cover", tiling)
+        cap -= 1
+    left = budget.time_limit - (time.monotonic() - start)
+    if left > 0:
+        res = stable.max_independent_set(mg.to_graph(), replace(budget, time_limit=left), cap)
+        if res.exact or res.value <= cap:
+            return replace(res, elapsed=time.monotonic() - start)
+    return AlphaResult(cap, False, time.monotonic() - start, "cap")
+
+
 def alpha_tilde(mg: MisGraph, budget: Budget | None = None) -> AlphaResult:
-    """Stability number of the intersection graph (exact, or upper bound on timeout)."""
-    return max_independent_set(mg.to_graph(), budget)
+    """Stability number of the intersection graph (exact, or upper bound on timeout).
+
+    The pipeline's alpha~ stage; the whole search runs in max_independent_set.
+    """
+    return max_independent_set(mg, budget)
 
 
 def compute_m(

@@ -40,7 +40,9 @@ class AlphaResult:
     """Outcome of a stability number computation.
 
     value is alpha(g) when exact, otherwise an upper bound alpha_bar >= alpha(g).
-    method is one of "exact-bnb", "degree-rule", "greedy-coloring", "provided".
+    method is one of "exact-bnb", "degree-rule", "greedy-coloring", "provided",
+    or, for alpha~ on an intersection graph, "exact-cover" (an exact cover of
+    the sets' union reached the cap) and "cap" (the cap bounds a stopped search).
     """
 
     value: int
@@ -84,6 +86,10 @@ class _Deadline:
 
 
 class _Timeout(Exception):
+    pass
+
+
+class _Reached(Exception):
     pass
 
 
@@ -153,9 +159,11 @@ class _MaxCliqueSearch:
     Vertices are relabeled into descending-degree order up front; the greedy
     coloring bound is recomputed per node (Tomita's scheme: children are
     expanded in descending color, pruning once size + color <= incumbent).
+    The search ends early once the incumbent reaches `stop`, a known upper
+    bound on the clique number.
     """
 
-    def __init__(self, adj: list[int], deadline: _Deadline):
+    def __init__(self, adj: list[int], deadline: _Deadline, stop: int | None = None):
         n = len(adj)
         order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
         pos = [0] * n
@@ -174,6 +182,7 @@ class _MaxCliqueSearch:
         self.adj = rows
         self.order = order
         self.deadline = deadline
+        self.stop = n if stop is None else stop
         self.best = 0
         self.best_clique: list[int] = []
         self.stack: list[int] = []
@@ -219,6 +228,8 @@ class _MaxCliqueSearch:
             elif size + 1 > self.best:
                 self.best = size + 1
                 self.best_clique = stack.copy()
+                if self.best >= self.stop:
+                    raise _Reached
             stack.pop()
             pool ^= 1 << v
 
@@ -226,15 +237,23 @@ class _MaxCliqueSearch:
         if self.n == 0:
             return 0, []
         self._greedy_seed()
-        self._expand(0, (1 << self.n) - 1)
+        if self.best < self.stop:
+            try:
+                self._expand(0, (1 << self.n) - 1)
+            except _Reached:
+                pass
         return self.best, sorted(self.order[v] for v in self.best_clique)
 
 
-def max_independent_set(g: Graph, budget: Budget | None = None) -> AlphaResult:
+def max_independent_set(
+    g: Graph, budget: Budget | None = None, stop: int | None = None
+) -> AlphaResult:
     """Exact alpha(g) by branch and bound, or a safe upper bound on timeout.
 
     On budget exhaustion the result carries exact=False and falls back to
-    degree_rule_alpha_bar, so value >= alpha(g) always holds.
+    degree_rule_alpha_bar, so value >= alpha(g) always holds. `stop`, a
+    proven upper bound on alpha(g), ends the search as soon as an
+    independent set of that size is found.
     """
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
@@ -244,7 +263,7 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> AlphaResult:
     needed = g.n + 64
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
-    search = _MaxCliqueSearch(comp, _Deadline(budget.time_limit))
+    search = _MaxCliqueSearch(comp, _Deadline(budget.time_limit), stop)
     try:
         value, witness = search.run()
     except _Timeout:

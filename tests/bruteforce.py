@@ -48,6 +48,32 @@ def brute_alpha_and_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     return best, sorted(mask_to_tuple(m) for m in sets)
 
 
+def brute_alpha_tilde(sets) -> int:
+    """Most pairwise-disjoint members of a set family, by a 2^k sweep.
+
+    A subfamily is pairwise disjoint iff dropping its lowest member leaves
+    a pairwise-disjoint subfamily whose union misses that member, so one
+    pass over all subfamily masks in increasing order settles them all.
+    """
+    masks = [sum(1 << v for v in s) for s in sets]
+    k = len(masks)
+    if k > 20:
+        raise ValueError("brute force capped at 20 sets")
+    union = [0] * (1 << k)
+    disjoint = bytearray(1 << k)
+    disjoint[0] = 1
+    best = 0
+    for family in range(1, 1 << k):
+        low = family & -family
+        rest = family ^ low
+        member = masks[low.bit_length() - 1]
+        if disjoint[rest] and not union[rest] & member:
+            disjoint[family] = 1
+            union[family] = union[rest] | member
+            best = max(best, family.bit_count())
+    return best
+
+
 def count_sets_of_size(g: Graph, size: int) -> int:
     """Number of independent sets of exactly `size` vertices (2^n sweep)."""
     n, adj = g.n, g.adj

@@ -1,15 +1,20 @@
 """Tests for the solver-stage disk cache."""
 
 import json
+import sys
+import threading
 
 from sumcol import (
+    Budget,
     Graph,
     PipelineConfig,
     SolveCache,
     compute_bounds_pipeline,
     default_cache_dir,
     queen_graph,
+    max_independent_set,
 )
+from sumcol.cache import CACHE_SCHEMA
 
 
 def report_fields(report) -> dict:
@@ -105,6 +110,76 @@ class TestRobustness:
         assert not report.cached
 
 
+    def test_v1_entry_is_a_miss_and_is_overwritten(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text(encoding="utf-8"))
+        obj["schema"] = "sumcol-cache-v1"
+        entry.write_text(json.dumps(obj), encoding="utf-8")
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert not report.cached
+        assert CACHE_SCHEMA == "sumcol-cache-v2"
+        assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
+        assert compute_bounds_pipeline(g, cache=cache).cached
+
+
+class TestWrites:
+    def test_store_leaves_no_tmp_file(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        cfg = PipelineConfig()
+        alpha = max_independent_set(g, Budget())
+        cache.store(g, cfg, alpha, None, "alpha-inexact", None, "enumeration-skipped", {})
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert cache.load(g, cfg)[0] == alpha
+
+    def test_store_does_not_touch_another_writers_tmp_file(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        # the file a concurrent writer sharing `<key>.tmp` would be filling
+        other = entry.with_suffix(".tmp")
+        other.write_text("half-written", encoding="utf-8")
+        entry.unlink()
+        compute_bounds_pipeline(g, cache=cache)
+        assert other.read_text(encoding="utf-8") == "half-written"
+        assert compute_bounds_pipeline(g, cache=cache).cached
+
+
+    def test_concurrent_stores_of_one_key_stay_valid(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        cfg = PipelineConfig()
+        alpha = max_independent_set(g, Budget())
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(25):
+                    cache.store(g, cfg, alpha, None, "alpha-inexact", None,
+                                "enumeration-skipped", {"pad": list(range(2000))})
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert cache.load(g, cfg)[0] == alpha
+
+
 class TestClear:
     def test_clear_counts_entries(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -113,6 +188,13 @@ class TestClear:
         assert cache.clear() == 2
         assert cache.clear() == 0
         assert list(tmp_path.glob("*.json")) == []
+
+    def test_clear_removes_leftover_tmp_files(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        compute_bounds_pipeline(queen_graph(5, 5), cache=cache)
+        (tmp_path / "abc.x1y2.tmp").write_text("", encoding="utf-8")
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear_on_absent_directory(self, tmp_path):
         assert SolveCache(tmp_path / "nothing").clear() == 0

@@ -11,7 +11,7 @@ import pytest
 
 import sumcol
 from sumcol import cli
-from sumcol.bounds import BoundReport
+from sumcol.bounds import BoundReport, PipelineConfig
 
 TRIANGLE_COL = "c tiny triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -283,6 +283,14 @@ class TestCache:
         code, out, _ = run(capsys, "bound", "queen5_5", "--cache-dir", str(tmp_path))
         assert code == 0
         assert "from cache" in out
+
+
+class TestConfig:
+    def test_solver_defaults_come_from_the_pipeline_config(self):
+        args = cli.build_parser().parse_args(["bound", "queen5_5"])
+        assert cli._build_config(args) == PipelineConfig(
+            alpha_override=args.alpha, count_cap=args.count_cap
+        )
 
 
 class TestEntryPoint:

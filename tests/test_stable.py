@@ -95,6 +95,16 @@ class TestMaxIndependentSet:
             assert res.exact
             assert res.value == alpha
 
+    def test_stop_at_a_proven_bound_ends_with_an_optimum(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.95), rng)
+            alpha, sets = brute_alpha_and_sets(g)
+            for stop in (alpha, alpha + 1):
+                res = max_independent_set(g, stop=stop)
+                assert res.exact and res.value == alpha
+                assert res.witness in sets
+
     def test_timeout_falls_back_to_degree_rule(self):
         rng = random.Random(3)
         g = random_graph(130, 0.15, rng)
