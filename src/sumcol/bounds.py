@@ -14,7 +14,7 @@ partitions.oracle_min over the full feasible parameter grid (see tests).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .graph import Graph
 from .misgraph import alpha_tilde as _alpha_tilde
@@ -187,64 +187,31 @@ class BoundReport:
     timings: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "schema": REPORT_SCHEMA,
-            "instance": self.instance,
-            "n": self.n,
-            "edge_count": self.edge_count,
-            "density": round(self.density, 6),
-            "alpha_bar": self.alpha_bar,
-            "alpha_exact": self.alpha_exact,
-            "alpha_method": self.alpha_method,
-            "num_is": self.num_is,
-            "num_is_truncated": self.num_is_truncated,
-            "enum_skipped": self.enum_skipped,
-            "alpha_tilde": self.alpha_tilde,
-            "alpha_tilde_exact": self.alpha_tilde_exact,
-            "alpha_tilde_skipped": self.alpha_tilde_skipped,
-            "m": self.m,
-            "q": self.q,
-            "r": self.r,
-            "s_lower": self.s_lower,
-            "s_lower_source": self.s_lower_source,
-            "lb_chi": self.lb_chi,
-            "lbm_sigma": self.lbm_sigma,
-            "sigma_m0": self.sigma_m0,
-            "sigma_m": self.sigma_m,
-            "witness": list(self.witness),
-            "cached": self.cached,
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
-        }
+        d = {"schema": REPORT_SCHEMA}
+        d.update((f.name, getattr(self, f.name)) for f in fields(self))
+        d["density"] = round(self.density, 6)
+        d["witness"] = list(self.witness)
+        d["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
         return d
 
-    CSV_HEADER = (
-        "instance,n,edge_count,density,alpha_bar,alpha_exact,num_is,"
-        "num_is_truncated,alpha_tilde,m,s_lower,lb_chi,lbm_sigma,sigma_m0,sigma_m"
+    CSV_FIELDS = (
+        "instance", "n", "edge_count", "density", "alpha_bar", "alpha_exact",
+        "num_is", "num_is_truncated", "alpha_tilde", "m", "s_lower", "lb_chi",
+        "lbm_sigma", "sigma_m0", "sigma_m",
     )
+    CSV_HEADER = ",".join(CSV_FIELDS)
 
     def to_csv_row(self) -> str:
         def cell(x):
-            return "" if x is None else str(x)
+            if x is None:
+                return ""
+            if isinstance(x, bool):
+                return str(x).lower()
+            if isinstance(x, float):
+                return f"{x:.4f}"
+            return str(x)
 
-        return ",".join(
-            [
-                self.instance,
-                str(self.n),
-                str(self.edge_count),
-                f"{self.density:.4f}",
-                str(self.alpha_bar),
-                str(self.alpha_exact).lower(),
-                cell(self.num_is),
-                str(self.num_is_truncated).lower(),
-                cell(self.alpha_tilde),
-                str(self.m),
-                str(self.s_lower),
-                str(self.lb_chi),
-                str(self.lbm_sigma),
-                str(self.sigma_m0),
-                str(self.sigma_m),
-            ]
-        )
+        return ",".join(cell(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
 def compute_bounds_pipeline(
@@ -252,9 +219,10 @@ def compute_bounds_pipeline(
 ) -> BoundReport:
     """Run the full staged computation on one graph.
 
-    Stages: stability number (exact branch and bound, or degree-rule upper
-    bound on timeout), enumeration of the maximum independent sets, their
-    intersection graph's stability number, then the closed-form bounds.
+    Stages: stability number (exact branch and bound, or the smaller of the
+    degree-rule and greedy-coloring upper bounds on timeout), enumeration
+    of the maximum independent sets, their intersection graph's stability
+    number, then the closed-form bounds.
     Later solver stages are skipped (never guessed) when an earlier stage
     is inexact or truncated; the m chain simply uses fewer terms. An
     optional cache stores the solver-stage outputs keyed by instance

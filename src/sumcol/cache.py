@@ -8,6 +8,9 @@ chromatic lower bound) reuses the solve while any solver-relevant change
 forces a fresh run.
 
 Entries are standalone JSON files, one per key, safe to delete at any time.
+An entry keeps what the later stages read, never the enumerated sets
+themselves: a loaded EnumerationResult carries its count and truncation
+flag, with sets == ().
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 from .graph import Graph
 from .stable import AlphaResult, EnumerationResult
 
-CACHE_SCHEMA = "sumcol-cache-v2"
+CACHE_SCHEMA = "sumcol-cache-v3"
 
 
 def _graph_digest(g: Graph) -> str:
@@ -76,7 +79,6 @@ def _enum_to_json(res: EnumerationResult | None) -> dict | None:
         return None
     return {
         "target_size": res.target_size,
-        "sets": [list(s) for s in res.sets],
         "count": res.count,
         "truncated": res.truncated,
         "elapsed": res.elapsed,
@@ -88,7 +90,7 @@ def _enum_from_json(obj: dict | None) -> EnumerationResult | None:
         return None
     return EnumerationResult(
         target_size=int(obj["target_size"]),
-        sets=tuple(tuple(s) for s in obj["sets"]),
+        sets=(),
         count=int(obj["count"]),
         truncated=bool(obj["truncated"]),
         elapsed=float(obj["elapsed"]),

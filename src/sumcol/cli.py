@@ -257,7 +257,7 @@ def _emit_table(args, results) -> None:
         print(BoundReport.CSV_HEADER + ",status")
         for row, report, mism, status, reason in results:
             if report is None:
-                print(row.name + "," * 15 + status)
+                print(row.name + "," * len(BoundReport.CSV_FIELDS) + status)
             else:
                 print(report.to_csv_row() + f",{status}")
         return

@@ -15,13 +15,12 @@ ends as soon as it reaches the cap.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 
 from . import stable
 from .graph import Graph
-from .stable import AlphaResult, Budget, _Deadline, _Timeout
+from .stable import AlphaResult, Budget, _allow_depth, _Deadline, _Timeout
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,7 @@ def _exact_cover(mg: MisGraph, deadline: _Deadline) -> tuple[int, ...] | None:
     chosen: list[int] = []
 
     def cover(uncovered: int, alive: int) -> bool:
-        if deadline.expired():
-            raise _Timeout
+        deadline.check()
         if not uncovered:
             return True
         options, fewest = 0, None
@@ -116,9 +114,7 @@ def _exact_cover(mg: MisGraph, deadline: _Deadline) -> tuple[int, ...] | None:
             chosen.pop()
         return False
 
-    needed = mg.n + 64
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+    _allow_depth(mg.n)
     union = 0
     for mask in masks:
         union |= mask

@@ -1,15 +1,18 @@
 """Maximum independent set: exact search, safe upper bounds, enumeration.
 
-An independent set of g is a clique of complement(g), so the exact search
-runs a branch and bound maximum clique algorithm (greedy coloring bound,
-Tomita-style) over complement adjacency bitmasks. Enumeration reuses the
-same machinery in a "collect every clique at depth == target" mode.
+An independent set of g is a clique of complement(g), so both the exact
+search and the enumeration run one branch and bound clique kernel
+(greedy coloring bound, Tomita-style) over complement adjacency bitmasks.
+It has two modes that differ only in the size a branch must be able to
+beat: "maximise" raises that floor with each incumbent, "collect" fixes it
+one below the target size and lists every clique of that size.
 
-Everything is single threaded and deterministic: branching order is fixed
-(descending complement degree, index ascending), so identical inputs and
-budgets produce identical results. Time limits are soft; they are checked
-between branch steps and only flip results to inexact/truncated, never
-change exact outputs.
+Everything is single threaded and deterministic: vertices are relabeled
+by descending complement degree (index ascending on ties) and each node
+branches in descending color, so identical inputs and budgets produce
+identical results. Time limits are soft; they are checked between branch
+steps and only flip results to inexact/truncated, never change exact
+outputs.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class EnumerationResult:
 
     sets holds 0-based sorted vertex tuples, canonically sorted. When
     truncated is True the count cap or time limit was hit and sets/count
-    cover only what was found.
+    cover only what was found. A result loaded from the solve cache has
+    sets == (): the cache keeps only the count and the truncation flag.
     """
 
     target_size: int
@@ -68,8 +72,16 @@ class EnumerationResult:
     elapsed: float
 
 
+class _Timeout(Exception):
+    """A search ran past its deadline."""
+
+
+class _Done(Exception):
+    """A search has what it was asked for: the `stop` size, or a full count cap."""
+
+
 class _Deadline:
-    """Cheap soft deadline: probes the clock every `stride` ticks."""
+    """Cheap soft deadline: probes the clock every `stride` checks."""
 
     __slots__ = ("limit", "ticks", "stride")
 
@@ -78,19 +90,18 @@ class _Deadline:
         self.ticks = 0
         self.stride = stride
 
-    def expired(self) -> bool:
+    def check(self) -> None:
+        """Raise _Timeout once the deadline has passed."""
         self.ticks += 1
-        if self.ticks % self.stride:
-            return False
-        return time.monotonic() > self.limit
+        if not self.ticks % self.stride and time.monotonic() > self.limit:
+            raise _Timeout
 
 
-class _Timeout(Exception):
-    pass
-
-
-class _Reached(Exception):
-    pass
+def _allow_depth(depth: int) -> None:
+    """Raise the recursion limit so a search `depth` levels deep fits."""
+    needed = depth + 64
+    if sys.getrecursionlimit() < needed:
+        sys.setrecursionlimit(needed)
 
 
 def _complement_rows(g: Graph) -> list[int]:
@@ -116,21 +127,6 @@ def degree_rule_alpha_bar(g: Graph) -> int:
     return max(k, 1)
 
 
-def _color_count(adj: list[int], pool: int) -> int:
-    """Number of classes a greedy coloring uses on the subgraph induced by pool."""
-    colors = 0
-    rest = pool
-    while rest:
-        colors += 1
-        avail = rest
-        while avail:
-            b = avail & -avail
-            avail &= ~adj[b.bit_length() - 1]
-            avail ^= b
-            rest ^= b
-    return colors
-
-
 def greedy_coloring_alpha_bar(g: Graph) -> int:
     """Upper bound on alpha(g) by greedy coloring of complement(g).
 
@@ -153,17 +149,28 @@ def greedy_coloring_alpha_bar(g: Graph) -> int:
     return max(len(class_masks), 1)
 
 
-class _MaxCliqueSearch:
-    """Branch and bound maximum clique over bitmask adjacency.
+class _CliqueSearch:
+    """Branch and bound over clique adjacency bitmasks (Tomita and Kameda).
 
-    Vertices are relabeled into descending-degree order up front; the greedy
-    coloring bound is recomputed per node (Tomita's scheme: children are
-    expanded in descending color, pruning once size + color <= incumbent).
-    The search ends early once the incumbent reaches `stop`, a known upper
-    bound on the clique number.
+    Vertices are relabeled once into descending-degree order (index
+    ascending on ties). Each node colors its candidates greedily and
+    expands them in descending color, pruning once size + color <= floor:
+    a clique takes at most one vertex per color class. The modes differ
+    only in the floor:
+
+    - maximise: the floor is the incumbent's size, seeded greedily and
+      raised with each larger clique; the search ends once it reaches `stop`.
+    - collect: the floor stays at target - 1, so every clique of size
+      target is found, each once; the search ends past `cap` of them. Its
+      last two levels are listed without coloring, where a color bound can
+      no longer prune.
+
+    Past its deadline, maximise raises _Timeout and collect returns what it
+    found, marked truncated.
     """
 
-    def __init__(self, adj: list[int], deadline: _Deadline, stop: int | None = None):
+    def __init__(self, adj: list[int], seconds: float):
+        self.deadline = _Deadline(seconds)
         n = len(adj)
         order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
         pos = [0] * n
@@ -181,25 +188,58 @@ class _MaxCliqueSearch:
         self.n = n
         self.adj = rows
         self.order = order
-        self.deadline = deadline
-        self.stop = n if stop is None else stop
-        self.best = 0
-        self.best_clique: list[int] = []
+        _allow_depth(n)
         self.stack: list[int] = []
+        self.floor = 0
+        self.leaf_size = n
+        self.stop = 0
+        self.best: list[int] = []
+        self.cap = 0
+        self.found: list[tuple[int, ...]] = []
 
-    def _greedy_seed(self):
-        taken: list[int] = []
+    def maximise(self, stop: int | None = None) -> list[int]:
+        """A maximum clique, sorted, in the original labels.
+
+        `stop`, a proven upper bound on the clique number, ends the search
+        as soon as a clique of that size is found.
+        """
+        self.stop = self.n if stop is None else stop
         pool = (1 << self.n) - 1
         while pool:
             v = (pool & -pool).bit_length() - 1
-            taken.append(v)
+            self.best.append(v)
             pool &= self.adj[v]
-        self.best = len(taken)
-        self.best_clique = taken
+        self.floor = len(self.best)
+        if self.floor < self.stop:
+            try:
+                self._expand(0, (1 << self.n) - 1)
+            except _Done:
+                pass
+        return sorted(self.order[v] for v in self.best)
 
-    def _expand(self, size: int, pool: int):
-        if self.deadline.expired():
-            raise _Timeout
+    def collect(self, target: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
+        """Every clique of size target, canonically sorted, and whether the
+        count cap or the deadline cut the list short."""
+        self.floor = target - 1
+        self.leaf_size = target - 2
+        self.cap = cap
+        truncated = False
+        try:
+            self._expand(0, (1 << self.n) - 1)
+        except (_Done, _Timeout):
+            truncated = True
+        # back to the original labels in place, so only one copy is ever held
+        found, label = self.found, self.order.__getitem__
+        for i, c in enumerate(found):
+            found[i] = tuple(sorted(map(label, c)))
+        found.sort()
+        return found, truncated
+
+    def _expand(self, size: int, pool: int) -> None:
+        self.deadline.check()
+        if size >= self.leaf_size:
+            self._leaves(pool)
+            return
         adj = self.adj
         order: list[int] = []
         colors: list[int] = []
@@ -218,31 +258,42 @@ class _MaxCliqueSearch:
                 rest ^= b
         stack = self.stack
         for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= self.best:
+            if size + colors[i] <= self.floor:
                 return
             v = order[i]
             stack.append(v)
             child = pool & adj[v]
             if child:
                 self._expand(size + 1, child)
-            elif size + 1 > self.best:
-                self.best = size + 1
-                self.best_clique = stack.copy()
-                if self.best >= self.stop:
-                    raise _Reached
+            elif size + 1 > self.floor:
+                # only maximise gets here: collect lists its leaves in _leaves
+                self.floor = size + 1
+                self.best = stack.copy()
+                if self.floor >= self.stop:
+                    raise _Done
             stack.pop()
             pool ^= 1 << v
 
-    def run(self) -> tuple[int, list[int]]:
-        if self.n == 0:
-            return 0, []
-        self._greedy_seed()
-        if self.best < self.stop:
-            try:
-                self._expand(0, (1 << self.n) - 1)
-            except _Reached:
-                pass
-        return self.best, sorted(self.order[v] for v in self.best_clique)
+    def _leaves(self, pool: int) -> None:
+        """Collect mode, one or two vertices short of the target: list the cliques."""
+        base = tuple(self.stack)
+        found, cap, adj = self.found, self.cap, self.adj
+        one_short = len(base) == self.floor
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            head = base + (b.bit_length() - 1,)
+            if one_short:
+                found.append(head)
+            else:
+                rest = pool & adj[head[-1]]
+                while rest:
+                    c = rest & -rest
+                    rest ^= c
+                    found.append(head + (c.bit_length() - 1,))
+            if len(found) > cap:
+                del found[cap:]
+                raise _Done
 
 
 def max_independent_set(
@@ -250,133 +301,32 @@ def max_independent_set(
 ) -> AlphaResult:
     """Exact alpha(g) by branch and bound, or a safe upper bound on timeout.
 
-    On budget exhaustion the result carries exact=False and falls back to
-    degree_rule_alpha_bar, so value >= alpha(g) always holds. `stop`, a
-    proven upper bound on alpha(g), ends the search as soon as an
-    independent set of that size is found.
+    On budget exhaustion the result carries exact=False and the smaller of
+    degree_rule_alpha_bar and greedy_coloring_alpha_bar, with the method
+    naming it, so value >= alpha(g) always holds. `stop`, a proven upper
+    bound on alpha(g), ends the search as soon as an independent set of
+    that size is found.
     """
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
     budget = budget or Budget()
     start = time.monotonic()
-    comp = _complement_rows(g)
-    needed = g.n + 64
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    search = _MaxCliqueSearch(comp, _Deadline(budget.time_limit), stop)
+    search = _CliqueSearch(_complement_rows(g), budget.time_limit)
     try:
-        value, witness = search.run()
+        witness = search.maximise(stop)
     except _Timeout:
-        return AlphaResult(
-            value=degree_rule_alpha_bar(g),
-            exact=False,
-            elapsed=time.monotonic() - start,
-            method="degree-rule",
+        value, method = min(
+            (degree_rule_alpha_bar(g), "degree-rule"),
+            (greedy_coloring_alpha_bar(g), "greedy-coloring"),
         )
+        return AlphaResult(value, False, time.monotonic() - start, method)
     return AlphaResult(
-        value=value,
+        value=len(witness),
         exact=True,
         elapsed=time.monotonic() - start,
         method="exact-bnb",
         witness=tuple(witness),
     )
-
-
-class _EnumStop(Exception):
-    pass
-
-
-class _Enumerator:
-    """Collects every clique of size exactly `target` over bitmask adjacency.
-
-    Candidates are consumed in ascending index order (each clique is visited
-    once, at its sorted vertex sequence). Two admissible prunes: remaining
-    candidate count, and the number of still-populated greedy color classes
-    (classes are independent sets of the search graph, so a clique takes at
-    most one vertex from each). Dense search graphs (sparse g) get a full
-    per-node recoloring instead, which is slower per node but keeps the tree
-    tiny when the class structure is fine-grained.
-    """
-
-    def __init__(self, adj: list[int], target: int, cap: int, deadline: _Deadline, recolor: bool):
-        self.adj = adj
-        self.n = len(adj)
-        self.target = target
-        self.cap = cap
-        self.deadline = deadline
-        self.recolor = recolor
-        self.found: list[tuple[int, ...]] = []
-        self.truncated = False
-        self.stack: list[int] = []
-        if not recolor:
-            self.classes = self._static_classes()
-
-    def _static_classes(self) -> list[int]:
-        adj = self.adj
-        masks: list[int] = []
-        for v in range(self.n):
-            bit = 1 << v
-            for i, mask in enumerate(masks):
-                if not mask & adj[v]:
-                    masks[i] |= bit
-                    break
-            else:
-                masks.append(bit)
-        return masks
-
-    def _bound(self, pool: int, needed: int) -> bool:
-        """True when pool can still supply `needed` pairwise adjacent vertices."""
-        if pool.bit_count() < needed:
-            return False
-        if self.recolor:
-            return _color_count(self.adj, pool) >= needed
-        hit = 0
-        for mask in self.classes:
-            if mask & pool:
-                hit += 1
-                if hit >= needed:
-                    return True
-        return False
-
-    def _walk(self, pool: int):
-        if self.deadline.expired():
-            raise _Timeout
-        stack = self.stack
-        needed = self.target - len(stack)
-        if not self._bound(pool, needed):
-            return
-        adj = self.adj
-        if needed == 1:
-            rest = pool
-            while rest:
-                b = rest & -rest
-                stack.append(b.bit_length() - 1)
-                self._record()
-                stack.pop()
-                rest ^= b
-            return
-        rest = pool
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            stack.append(v)
-            self._walk(rest & adj[v])
-            stack.pop()
-
-    def _record(self):
-        if len(self.found) >= self.cap:
-            self.truncated = True
-            raise _EnumStop
-        self.found.append(tuple(self.stack))
-
-    def run(self):
-        try:
-            self._walk((1 << self.n) - 1)
-        except _Timeout:
-            self.truncated = True
-        except _EnumStop:
-            pass
 
 
 def enumerate_maximum_independent_sets(
@@ -392,19 +342,12 @@ def enumerate_maximum_independent_sets(
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")
     budget = budget or Budget()
     start = time.monotonic()
-    comp = _complement_rows(g)
-    needed = g.n + 64
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    # sparse g means a dense search graph whose static classes are near-pairs;
-    # recoloring per node is what keeps those trees from exploding
-    recolor = g.density() < 0.2
-    enum = _Enumerator(comp, target_size, budget.count_cap, _Deadline(budget.time_limit), recolor)
-    enum.run()
+    search = _CliqueSearch(_complement_rows(g), budget.time_limit)
+    sets, truncated = search.collect(target_size, budget.count_cap)
     return EnumerationResult(
         target_size=target_size,
-        sets=tuple(sorted(enum.found)),
-        count=len(enum.found),
-        truncated=enum.truncated,
+        sets=tuple(sets),
+        count=len(sets),
+        truncated=truncated,
         elapsed=time.monotonic() - start,
     )

@@ -1,5 +1,6 @@
 """Tests for the closed-form bounds and the staged pipeline."""
 
+import dataclasses
 import random
 
 import pytest
@@ -239,7 +240,7 @@ class TestPipeline:
         g = random_graph(130, 0.15, rng, name="hard")
         report = compute_bounds_pipeline(g, PipelineConfig(alpha_time_limit=1e-4))
         assert not report.alpha_exact
-        assert report.alpha_method == "degree-rule"
+        assert report.alpha_method == "greedy-coloring"
         assert report.num_is is None
         assert report.enum_skipped == "alpha-inexact"
         assert report.alpha_tilde is None
@@ -283,6 +284,13 @@ class TestReportSerialization:
         assert d["instance"] == "matching"
         assert d["witness"] == list(report.witness)
         assert d["m"] == report.m
+
+    def test_json_keys_are_the_schema_then_every_field(self):
+        report = compute_bounds_pipeline(matching(2))
+        d = report.to_json_dict()
+        assert list(d) == ["schema"] + [f.name for f in dataclasses.fields(BoundReport)]
+        assert d["density"] == round(report.density, 6) != report.density
+        assert d["timings"] == {k: round(v, 6) for k, v in report.timings.items()}
 
     def test_csv_row_matches_header_width(self):
         report = compute_bounds_pipeline(matching(2))

@@ -120,9 +120,43 @@ class TestRobustness:
         entry.write_text(json.dumps(obj), encoding="utf-8")
         report = compute_bounds_pipeline(g, cache=cache)
         assert not report.cached
-        assert CACHE_SCHEMA == "sumcol-cache-v2"
+        assert CACHE_SCHEMA == "sumcol-cache-v3"
         assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
         assert compute_bounds_pipeline(g, cache=cache).cached
+
+    def test_v2_entry_is_a_miss_and_is_overwritten(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        fresh = compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text(encoding="utf-8"))
+        # a v2 entry also listed every enumerated set
+        obj["schema"] = "sumcol-cache-v2"
+        obj["enumeration"]["sets"] = [[0, 7, 14, 16, 23]] * fresh.num_is
+        entry.write_text(json.dumps(obj), encoding="utf-8")
+        assert not compute_bounds_pipeline(g, cache=cache).cached
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        assert stored["schema"] == CACHE_SCHEMA
+        assert "sets" not in stored["enumeration"]
+        assert report_fields(compute_bounds_pipeline(g, cache=cache)) == report_fields(fresh)
+
+
+class TestCountsNotSets:
+    def test_entry_holds_no_per_set_data(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(6, 6)
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert report.num_is == 4
+        obj = json.loads(next(tmp_path.glob("*.json")).read_text(encoding="utf-8"))
+        assert set(obj["enumeration"]) == {"target_size", "count", "truncated", "elapsed"}
+        assert obj["enumeration"]["count"] == 4
+
+    def test_loaded_enumeration_keeps_the_count_without_sets(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(6, 6)
+        compute_bounds_pipeline(g, cache=cache)
+        enum = cache.load(g, PipelineConfig())[1]
+        assert (enum.target_size, enum.count, enum.truncated, enum.sets) == (6, 4, False, ())
 
 
 class TestWrites:

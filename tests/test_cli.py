@@ -201,6 +201,13 @@ class TestTable:
         assert lines[1].startswith("myciel3,") and lines[1].endswith(",ok")
         assert lines[3].startswith("DSJC125.1,") and lines[3].endswith(",skipped")
 
+    def test_skipped_csv_row_has_a_cell_per_header_column(self, capsys):
+        code, out, _ = run(capsys, "table", "DSJC125.1", "--format", "csv", "--no-cache")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert row == "DSJC125.1" + "," * len(BoundReport.CSV_FIELDS) + "skipped"
+        assert len(row.split(",")) == len(header.split(",")) == len(BoundReport.CSV_FIELDS) + 1
+
     def test_json_format_carries_schema_and_mismatches(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "table", "myciel4", "--strict", "--format", "json",

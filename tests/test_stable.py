@@ -27,6 +27,10 @@ def complete_graph(n):
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def is_independent(g, vertices):
+    return not any(g.has_edge(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:])
+
+
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -105,13 +109,13 @@ class TestMaxIndependentSet:
                 assert res.exact and res.value == alpha
                 assert res.witness in sets
 
-    def test_timeout_falls_back_to_degree_rule(self):
+    def test_timeout_falls_back_to_the_smaller_upper_bound(self):
         rng = random.Random(3)
         g = random_graph(130, 0.15, rng)
         res = max_independent_set(g, Budget(time_limit=1e-4))
         assert not res.exact
-        assert res.method == "degree-rule"
-        assert res.value == degree_rule_alpha_bar(g)
+        assert res.method == "greedy-coloring"
+        assert res.value == greedy_coloring_alpha_bar(g) < degree_rule_alpha_bar(g)
         assert res.witness is None
 
 
@@ -156,7 +160,8 @@ class TestEnumeration:
             enumerate_maximum_independent_sets(g, 4)
 
     def test_sparse_and_dense_policies_agree(self):
-        # density 0.2 is the policy switch; check both sides against brute force
+        # sparse g gives a dense search graph, dense g a sparse one; the one
+        # kernel must list every maximum set on both
         rng = random.Random(5)
         for p in (0.08, 0.5):
             for _ in range(10):
@@ -164,3 +169,31 @@ class TestEnumeration:
                 alpha, sets = brute_alpha_and_sets(g)
                 res = enumerate_maximum_independent_sets(g, alpha)
                 assert res.count == len(sets)
+
+    def test_every_target_size_matches_the_oracle(self):
+        rng = random.Random(11)
+        for p in (0.05, 0.15, 0.3, 0.6):
+            for _ in range(8):
+                g = random_graph(rng.randint(2, 13), p, rng)
+                alpha, _ = brute_alpha_and_sets(g)
+                for size in range(1, alpha + 1):
+                    res = enumerate_maximum_independent_sets(g, size)
+                    assert not res.truncated
+                    assert res.count == count_sets_of_size(g, size), (p, size)
+                    assert list(res.sets) == sorted(set(res.sets))
+                    assert all(len(s) == size and is_independent(g, s) for s in res.sets)
+
+    def test_count_cap_keeps_exactly_cap_distinct_sets(self):
+        rng = random.Random(12)
+        for p in (0.1, 0.5):
+            for _ in range(6):
+                g = random_graph(12, p, rng)
+                alpha, _ = brute_alpha_and_sets(g)
+                for size in range(1, alpha + 1):
+                    total = count_sets_of_size(g, size)
+                    for cap in {c for c in (1, total // 2, total - 1) if 0 < c < total}:
+                        res = enumerate_maximum_independent_sets(g, size, Budget(count_cap=cap))
+                        assert (res.count, res.truncated) == (cap, True)
+                        assert len(set(res.sets)) == cap
+                        assert list(res.sets) == sorted(res.sets)
+                        assert all(len(s) == size and is_independent(g, s) for s in res.sets)
