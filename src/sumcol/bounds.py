@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .graph import Graph
 from .misgraph import alpha_tilde as _alpha_tilde
@@ -184,7 +185,7 @@ class BoundReport:
     sigma_m: int
     witness: tuple[int, ...]
     cached: bool = False
-    timings: dict = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         d = {"schema": REPORT_SCHEMA}
@@ -214,86 +215,122 @@ class BoundReport:
         return ",".join(cell(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
+# The report fields the solver stages produce: what the cache stores, and all
+# the formulas read besides the graph and the config.
+STAGE_FIELDS = (
+    "alpha_bar", "alpha_exact", "alpha_method", "num_is", "num_is_truncated",
+    "enum_skipped", "alpha_tilde", "alpha_tilde_exact", "alpha_tilde_skipped",
+    "timings",
+)
+
+
+def _json_type_check(hint):
+    """A test that a value loaded from JSON has the annotated type `hint`."""
+    if get_origin(hint) is dict:
+        key_ok, value_ok = map(_json_type_check, get_args(hint))
+        return lambda x: type(x) is dict and all(
+            key_ok(k) and value_ok(v) for k, v in x.items()
+        )
+    kinds = get_args(hint) or (hint,)
+    # exact types: a JSON true is not an int, and a timing is always a float
+    return lambda x: type(x) in kinds
+
+
+# Resolved once, at import: get_type_hints costs about as much as a warm report.
+_REPORT_TYPES = get_type_hints(BoundReport)
+_STAGE_CHECKS = {name: _json_type_check(_REPORT_TYPES[name]) for name in STAGE_FIELDS}
+
+
+def _is_stage_record(obj: dict) -> bool:
+    """True when obj has exactly the STAGE_FIELDS, each of its field's type."""
+    return obj.keys() == _STAGE_CHECKS.keys() and all(
+        check(obj[name]) for name, check in _STAGE_CHECKS.items()
+    )
+
+
+def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
+    """Run the solver stages and return their STAGE_FIELDS.
+
+    Stages: stability number (exact branch and bound, or the smaller of the
+    degree-rule and greedy-coloring upper bounds on timeout), enumeration
+    of the maximum independent sets, then their intersection graph's
+    stability number. A later stage is skipped (never guessed) when an
+    earlier one is inexact or truncated, and the skip reason is recorded.
+    """
+    if cfg.alpha_override is not None:
+        if not 1 <= cfg.alpha_override <= g.n:
+            raise ValueError("alpha override out of range")
+        alpha = AlphaResult(
+            value=cfg.alpha_override, exact=True, elapsed=0.0, method="provided"
+        )
+    else:
+        alpha = max_independent_set(g, Budget(cfg.alpha_time_limit, cfg.count_cap))
+    timings = {"alpha": alpha.elapsed}
+    stages = {
+        "alpha_bar": alpha.value,
+        "alpha_exact": alpha.exact,
+        "alpha_method": alpha.method,
+        "num_is": None,
+        "num_is_truncated": False,
+        "enum_skipped": None,
+        "alpha_tilde": None,
+        "alpha_tilde_exact": False,
+        "alpha_tilde_skipped": None,
+        "timings": timings,
+    }
+    if not alpha.exact:
+        stages["enum_skipped"] = "alpha-inexact"
+        stages["alpha_tilde_skipped"] = "enumeration-skipped"
+        return stages
+
+    enum = enumerate_maximum_independent_sets(
+        g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap)
+    )
+    timings["enumeration"] = enum.elapsed
+    stages["num_is"] = enum.count
+    stages["num_is_truncated"] = enum.truncated
+    if enum.truncated:
+        stages["alpha_tilde_skipped"] = "enumeration-truncated"
+    elif enum.count > cfg.mis_graph_cap:
+        stages["alpha_tilde_skipped"] = "num-is-over-cap"
+    else:
+        tilde = _alpha_tilde(
+            build_mis_graph(enum.sets), Budget(cfg.alpha_tilde_time_limit, cfg.count_cap)
+        )
+        timings["alpha_tilde"] = tilde.elapsed
+        stages["alpha_tilde"] = tilde.value
+        stages["alpha_tilde_exact"] = tilde.exact
+    return stages
+
+
 def compute_bounds_pipeline(
     g: Graph, config: PipelineConfig | None = None, cache=None
 ) -> BoundReport:
     """Run the full staged computation on one graph.
 
-    Stages: stability number (exact branch and bound, or the smaller of the
-    degree-rule and greedy-coloring upper bounds on timeout), enumeration
-    of the maximum independent sets, their intersection graph's stability
-    number, then the closed-form bounds.
-    Later solver stages are skipped (never guessed) when an earlier stage
-    is inexact or truncated; the m chain simply uses fewer terms. An
-    optional cache stores the solver-stage outputs keyed by instance
+    The solver stages (see _solve_stages) give alpha, the number of maximum
+    independent sets and alpha~; the closed-form bounds then run on them.
+    The m chain simply uses fewer terms when a stage was skipped or
+    truncated. An optional cache stores the stage fields keyed by instance
     content and solver-relevant config, so bound parameters like the known
-    chromatic lower bound can change without re-solving.
+    chromatic lower bound can change without re-solving. A loaded entry
+    that is not a well-typed stage record is a miss, and is overwritten.
     """
     cfg = config or PipelineConfig()
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    timings: dict[str, float] = {}
-    cached = False
 
-    alpha_res: AlphaResult
-    enum_res = None
-    enum_skipped = None
-    tilde_res: AlphaResult | None = None
-    tilde_skipped = None
-
-    payload = cache.load(g, cfg) if cache is not None else None
-    if payload is not None:
-        alpha_res, enum_res, enum_skipped, tilde_res, tilde_skipped, timings = payload
-        cached = True
-    else:
-        if cfg.alpha_override is not None:
-            if not 1 <= cfg.alpha_override <= g.n:
-                raise ValueError("alpha override out of range")
-            alpha_res = AlphaResult(
-                value=cfg.alpha_override, exact=True, elapsed=0.0, method="provided"
-            )
-        else:
-            alpha_res = max_independent_set(
-                g, Budget(cfg.alpha_time_limit, cfg.count_cap)
-            )
-        timings["alpha"] = alpha_res.elapsed
-
-        if alpha_res.exact:
-            enum_res = enumerate_maximum_independent_sets(
-                g, alpha_res.value, Budget(cfg.enum_time_limit, cfg.count_cap)
-            )
-            timings["enumeration"] = enum_res.elapsed
-        else:
-            enum_skipped = "alpha-inexact"
-
-        if enum_res is None:
-            tilde_skipped = "enumeration-skipped"
-        elif enum_res.truncated:
-            tilde_skipped = "enumeration-truncated"
-        elif enum_res.count > cfg.mis_graph_cap:
-            tilde_skipped = "num-is-over-cap"
-        else:
-            mg = build_mis_graph(enum_res.sets)
-            tilde_res = _alpha_tilde(
-                mg, Budget(cfg.alpha_tilde_time_limit, cfg.count_cap)
-            )
-            timings["alpha_tilde"] = tilde_res.elapsed
+    stages = cache.load(g, cfg) if cache is not None else None
+    cached = stages is not None and _is_stage_record(stages)
+    if not cached:
+        stages = _solve_stages(g, cfg)
         if cache is not None:
-            cache.store(
-                g, cfg, alpha_res, enum_res, enum_skipped, tilde_res, tilde_skipped, timings
-            )
+            cache.store(g, cfg, stages)
 
     t0 = time.monotonic()
-    alpha_bar = alpha_res.value
-    num_is = None
-    if enum_res is not None and not enum_res.truncated:
-        num_is = enum_res.count
-    m = compute_m(
-        g.n,
-        alpha_bar,
-        num_is,
-        tilde_res.value if tilde_res is not None else None,
-    )
+    alpha_bar = stages["alpha_bar"]
+    num_is = None if stages["num_is_truncated"] else stages["num_is"]
+    m = compute_m(g.n, alpha_bar, num_is, stages["alpha_tilde"])
     s_lower, s_source = choose_s_lower(g.n, alpha_bar, cfg.known_chi_lb)
     if alpha_bar >= 2:
         q, r = divmod(g.n - m * alpha_bar, alpha_bar - 1)
@@ -303,22 +340,14 @@ def compute_bounds_pipeline(
     sm_value, witness = sigma_m(BoundParams(g.n, alpha_bar, s_lower, m))
     lbm = lbm_sigma(g.n, alpha_bar, s_lower)
     chi_bound = lb_chi(g.n, alpha_bar, m)
-    timings["formulas"] = time.monotonic() - t0
+    timings = {**stages["timings"], "formulas": time.monotonic() - t0}
 
     return BoundReport(
         instance=g.name,
         n=g.n,
         edge_count=g.edge_count,
         density=g.density(),
-        alpha_bar=alpha_bar,
-        alpha_exact=alpha_res.exact,
-        alpha_method=alpha_res.method,
-        num_is=enum_res.count if enum_res is not None else None,
-        num_is_truncated=enum_res.truncated if enum_res is not None else False,
-        enum_skipped=enum_skipped,
-        alpha_tilde=tilde_res.value if tilde_res is not None else None,
-        alpha_tilde_exact=tilde_res.exact if tilde_res is not None else False,
-        alpha_tilde_skipped=tilde_skipped,
+        **{**stages, "timings": timings},
         m=m,
         q=q,
         r=r,
@@ -330,5 +359,4 @@ def compute_bounds_pipeline(
         sigma_m=sm_value,
         witness=witness.parts,
         cached=cached,
-        timings=timings,
     )

@@ -118,9 +118,13 @@ def _exact_cover(mg: MisGraph, deadline: _Deadline) -> tuple[int, ...] | None:
     union = 0
     for mask in masks:
         union |= mask
-    if cover(union, (1 << mg.n) - 1):
-        return tuple(sorted(chosen))
-    return None
+    try:
+        found = cover(union, (1 << mg.n) - 1)
+    finally:
+        # cover's closure holds cover itself: break that cycle, so masks,
+        # holders and the adjacency are freed now, not at a later full GC
+        cover = None
+    return tuple(sorted(chosen)) if found else None
 
 
 def max_independent_set(mg: MisGraph, budget: Budget | None = None) -> AlphaResult:

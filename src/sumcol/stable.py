@@ -61,8 +61,7 @@ class EnumerationResult:
 
     sets holds 0-based sorted vertex tuples, canonically sorted. When
     truncated is True the count cap or time limit was hit and sets/count
-    cover only what was found. A result loaded from the solve cache has
-    sets == (): the cache keeps only the count and the truncation flag.
+    cover only what was found.
     """
 
     target_size: int

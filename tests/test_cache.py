@@ -1,19 +1,21 @@
 """Tests for the solver-stage disk cache."""
 
+import dataclasses
 import json
 import sys
 import threading
 
+import pytest
+
 from sumcol import (
-    Budget,
     Graph,
     PipelineConfig,
     SolveCache,
     compute_bounds_pipeline,
     default_cache_dir,
     queen_graph,
-    max_independent_set,
 )
+from sumcol.bounds import STAGE_FIELDS, _solve_stages
 from sumcol.cache import CACHE_SCHEMA
 
 
@@ -68,6 +70,30 @@ class TestKeying:
         assert not second.cached
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    # a changed value for every PipelineConfig field the solver stages read
+    SOLVER_FIELD_CHANGES = {
+        "alpha_time_limit": 59.0,
+        "enum_time_limit": 59.0,
+        "alpha_tilde_time_limit": 59.0,
+        "count_cap": 4999,
+        "mis_graph_cap": 4999,
+        "alpha_override": 5,
+    }
+
+    def test_every_solver_field_is_covered(self):
+        names = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(self.SOLVER_FIELD_CHANGES) == names - {"known_chi_lb"}
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_FIELD_CHANGES) + ["known_chi_lb"])
+    def test_a_field_change_misses_unless_only_the_formulas_read_it(self, tmp_path, name):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        compute_bounds_pipeline(g, PipelineConfig(), cache=cache)
+        value = self.SOLVER_FIELD_CHANGES.get(name, 5)
+        changed = compute_bounds_pipeline(g, PipelineConfig(**{name: value}), cache=cache)
+        assert changed.cached == (name == "known_chi_lb")
+        assert changed.sigma_m == 75
+
     def test_pure_bound_input_change_still_hits(self, tmp_path):
         cache = SolveCache(tmp_path)
         g = queen_graph(6, 6)
@@ -120,25 +146,76 @@ class TestRobustness:
         entry.write_text(json.dumps(obj), encoding="utf-8")
         report = compute_bounds_pipeline(g, cache=cache)
         assert not report.cached
-        assert CACHE_SCHEMA == "sumcol-cache-v3"
+        assert CACHE_SCHEMA == "sumcol-cache-v4"
         assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
         assert compute_bounds_pipeline(g, cache=cache).cached
+
+    @staticmethod
+    def nested_entry(schema, report, sets):
+        """A v2/v3 entry: one object per solver result; v2 also listed the sets."""
+        enumeration = {"target_size": report.alpha_bar, "count": report.num_is,
+                       "truncated": report.num_is_truncated, "elapsed": 0.0}
+        if sets is not None:
+            enumeration["sets"] = sets
+        return {
+            "schema": schema, "instance": report.instance, "n": report.n,
+            "edge_count": report.edge_count,
+            "alpha": {"value": report.alpha_bar, "exact": True, "elapsed": 0.0,
+                      "method": report.alpha_method, "witness": None},
+            "enumeration": enumeration,
+            "enum_skipped": None,
+            "alpha_tilde": {"value": report.alpha_tilde, "exact": True, "elapsed": 0.0,
+                            "method": "clique-bnb", "witness": None},
+            "tilde_skipped": None,
+            "timings": {},
+        }
 
     def test_v2_entry_is_a_miss_and_is_overwritten(self, tmp_path):
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)
         fresh = compute_bounds_pipeline(g, cache=cache)
         entry = next(tmp_path.glob("*.json"))
+        v2_sets = [[0, 7, 14, 16, 23]] * fresh.num_is
+        for schema, sets in (("sumcol-cache-v2", v2_sets), ("sumcol-cache-v3", None)):
+            obj = self.nested_entry(schema, fresh, sets)
+            entry.write_text(json.dumps(obj), encoding="utf-8")
+            assert not compute_bounds_pipeline(g, cache=cache).cached
+            stored = json.loads(entry.read_text(encoding="utf-8"))
+            assert stored.keys() == {"schema", *STAGE_FIELDS}
+            assert stored["schema"] == CACHE_SCHEMA
+            assert report_fields(compute_bounds_pipeline(g, cache=cache)) == report_fields(fresh)
+
+    # entries of the current schema that a hit would misread or crash on
+    MALFORMED = {
+        "missing key": lambda obj: {k: v for k, v in obj.items() if k != "num_is"},
+        "extra key": lambda obj: {**obj, "enumeration": {"count": 10}},
+        "null for an int": lambda obj: {**obj, "alpha_bar": None},
+        "object for an int": lambda obj: {**obj, "alpha_bar": {"value": 5}},
+        "bool for an int": lambda obj: {**obj, "alpha_bar": True},
+        "string for a bool": lambda obj: {**obj, "alpha_exact": "true"},
+        "list for the timings": lambda obj: {**obj, "timings": []},
+        "text in the timings": lambda obj: {**obj, "timings": {"alpha": "fast"}},
+        "top-level list": lambda obj: [],
+        "top-level number": lambda obj: 5,
+    }
+
+    @pytest.mark.parametrize("damage", list(MALFORMED))
+    def test_malformed_entry_is_a_miss_and_is_overwritten(self, tmp_path, damage):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
         obj = json.loads(entry.read_text(encoding="utf-8"))
-        # a v2 entry also listed every enumerated set
-        obj["schema"] = "sumcol-cache-v2"
-        obj["enumeration"]["sets"] = [[0, 7, 14, 16, 23]] * fresh.num_is
-        entry.write_text(json.dumps(obj), encoding="utf-8")
-        assert not compute_bounds_pipeline(g, cache=cache).cached
+        entry.write_text(json.dumps(self.MALFORMED[damage](obj)), encoding="utf-8")
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert not report.cached
+        assert report.sigma_m == 75
         stored = json.loads(entry.read_text(encoding="utf-8"))
+        assert stored.keys() == {"schema", *STAGE_FIELDS}
         assert stored["schema"] == CACHE_SCHEMA
-        assert "sets" not in stored["enumeration"]
-        assert report_fields(compute_bounds_pipeline(g, cache=cache)) == report_fields(fresh)
+        again = compute_bounds_pipeline(g, cache=cache)
+        assert again.cached
+        assert report_fields(again) == report_fields(report)
 
 
 class TestCountsNotSets:
@@ -148,15 +225,15 @@ class TestCountsNotSets:
         report = compute_bounds_pipeline(g, cache=cache)
         assert report.num_is == 4
         obj = json.loads(next(tmp_path.glob("*.json")).read_text(encoding="utf-8"))
-        assert set(obj["enumeration"]) == {"target_size", "count", "truncated", "elapsed"}
-        assert obj["enumeration"]["count"] == 4
+        assert obj.keys() == {"schema", *STAGE_FIELDS}
+        assert obj["num_is"] == 4
 
     def test_loaded_enumeration_keeps_the_count_without_sets(self, tmp_path):
         cache = SolveCache(tmp_path)
         g = queen_graph(6, 6)
         compute_bounds_pipeline(g, cache=cache)
-        enum = cache.load(g, PipelineConfig())[1]
-        assert (enum.target_size, enum.count, enum.truncated, enum.sets) == (6, 4, False, ())
+        stages = cache.load(g, PipelineConfig())
+        assert (stages["alpha_bar"], stages["num_is"], stages["num_is_truncated"]) == (6, 4, False)
 
 
 class TestWrites:
@@ -164,10 +241,10 @@ class TestWrites:
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)
         cfg = PipelineConfig()
-        alpha = max_independent_set(g, Budget())
-        cache.store(g, cfg, alpha, None, "alpha-inexact", None, "enumeration-skipped", {})
+        stages = _solve_stages(g, cfg)
+        cache.store(g, cfg, stages)
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
-        assert cache.load(g, cfg)[0] == alpha
+        assert cache.load(g, cfg) == stages
 
     def test_store_does_not_touch_another_writers_tmp_file(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -187,14 +264,13 @@ class TestWrites:
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)
         cfg = PipelineConfig()
-        alpha = max_independent_set(g, Budget())
+        stages = {**_solve_stages(g, cfg), "timings": {"pad": list(range(2000))}}
         errors = []
 
         def writer():
             try:
                 for _ in range(25):
-                    cache.store(g, cfg, alpha, None, "alpha-inexact", None,
-                                "enumeration-skipped", {"pad": list(range(2000))})
+                    cache.store(g, cfg, stages)
             except Exception as exc:
                 errors.append(exc)
 
@@ -211,7 +287,7 @@ class TestWrites:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
-        assert cache.load(g, cfg)[0] == alpha
+        assert cache.load(g, cfg) == stages
 
 
 class TestClear:

@@ -1,5 +1,6 @@
 """Intersection graph over independent sets and the m parameter chain."""
 
+import gc
 import random
 
 import pytest
@@ -174,6 +175,19 @@ class TestAlphaTildeStops:
         assert not res.exact
         assert (res.value, res.method) == (cap, "cap")
         assert res.value < degree_rule_alpha_bar(mg.to_graph())
+
+    @pytest.mark.parametrize("side,seconds", [(5, 60.0), (10, 1e-3)])
+    def test_cover_step_leaves_no_reference_cycle(self, side, seconds):
+        # a cycle would keep the sets' masks and the adjacency alive until
+        # the next full collection; queen5_5's sets tile, queen10_10's time out
+        mg = build_mis_graph(queen_sets(side))
+        gc.collect()
+        gc.disable()
+        try:
+            alpha_tilde(mg, Budget(time_limit=seconds))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_queen11_11_row_reaches_an_exact_alpha_tilde(self):
         row = get_row("queen11_11")
