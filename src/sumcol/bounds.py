@@ -241,10 +241,18 @@ _REPORT_TYPES = get_type_hints(BoundReport)
 _STAGE_CHECKS = {name: _json_type_check(_REPORT_TYPES[name]) for name in STAGE_FIELDS}
 
 
-def _is_stage_record(obj: dict) -> bool:
-    """True when obj has exactly the STAGE_FIELDS, each of its field's type."""
-    return obj.keys() == _STAGE_CHECKS.keys() and all(
+def _is_stage_record(obj: dict, n: int) -> bool:
+    """True when obj has exactly the STAGE_FIELDS, each of its field's type,
+    with values a solve of an n-vertex graph can produce."""
+    if obj.keys() != _STAGE_CHECKS.keys() or not all(
         check(obj[name]) for name, check in _STAGE_CHECKS.items()
+    ):
+        return False
+    num_is, tilde = obj["num_is"], obj["alpha_tilde"]
+    return (
+        1 <= obj["alpha_bar"] <= n
+        and (num_is is None or num_is >= (0 if obj["num_is_truncated"] else 1))
+        and (tilde is None or tilde >= 1)
     )
 
 
@@ -283,8 +291,9 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
         stages["alpha_tilde_skipped"] = "enumeration-skipped"
         return stages
 
+    # past mis_graph_cap alpha~ is skipped, so the sets are only counted
     enum = enumerate_maximum_independent_sets(
-        g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap)
+        g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap), keep=cfg.mis_graph_cap
     )
     timings["enumeration"] = enum.elapsed
     stages["num_is"] = enum.count
@@ -314,14 +323,15 @@ def compute_bounds_pipeline(
     truncated. An optional cache stores the stage fields keyed by instance
     content and solver-relevant config, so bound parameters like the known
     chromatic lower bound can change without re-solving. A loaded entry
-    that is not a well-typed stage record is a miss, and is overwritten.
+    that is not a well-typed stage record with in-range values is a miss,
+    and is overwritten.
     """
     cfg = config or PipelineConfig()
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
 
     stages = cache.load(g, cfg) if cache is not None else None
-    cached = stages is not None and _is_stage_record(stages)
+    cached = stages is not None and _is_stage_record(stages, g.n)
     if not cached:
         stages = _solve_stages(g, cfg)
         if cache is not None:

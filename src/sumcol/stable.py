@@ -5,7 +5,9 @@ search and the enumeration run one branch and bound clique kernel
 (greedy coloring bound, Tomita-style) over complement adjacency bitmasks.
 It has two modes that differ only in the size a branch must be able to
 beat: "maximise" raises that floor with each incumbent, "collect" fixes it
-one below the target size and lists every clique of that size.
+one below the target size and lists every clique of that size. Past a
+given number of cliques, collect drops its list and only counts the rest,
+by popcounts over its last two levels, so a count needs no memory per set.
 
 Everything is single threaded and deterministic: vertices are relabeled
 by descending complement degree (index ascending on ties) and each node
@@ -20,6 +22,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import Graph
 
@@ -59,9 +62,10 @@ class AlphaResult:
 class EnumerationResult:
     """All independent sets of a given size, or a truncated prefix of them.
 
-    sets holds 0-based sorted vertex tuples, canonically sorted. When
-    truncated is True the count cap or time limit was hit and sets/count
-    cover only what was found.
+    sets holds 0-based sorted vertex tuples, canonically sorted, or is
+    empty when count passed the caller's `keep` and the sets were only
+    counted. When truncated is True the count cap or time limit was hit and
+    sets/count cover only what was found.
     """
 
     target_size: int
@@ -161,8 +165,9 @@ class _CliqueSearch:
       raised with each larger clique; the search ends once it reaches `stop`.
     - collect: the floor stays at target - 1, so every clique of size
       target is found, each once; the search ends past `cap` of them. Its
-      last two levels are listed without coloring, where a color bound can
-      no longer prune.
+      last two levels are counted by popcount without coloring, where a
+      color bound can no longer prune, and listed only while the result
+      may still hold at most `keep` cliques.
 
     Past its deadline, maximise raises _Timeout and collect returns what it
     found, marked truncated.
@@ -172,20 +177,11 @@ class _CliqueSearch:
         self.deadline = _Deadline(seconds)
         n = len(adj)
         order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-        pos = [0] * n
-        for p, v in enumerate(order):
-            pos[v] = p
-        rows = [0] * n
-        for v in range(n):
-            row = adj[v]
-            new = 0
-            while row:
-                b = row & -row
-                new |= 1 << pos[b.bit_length() - 1]
-                row ^= b
-            rows[pos[v]] = new
+        # relabel a row by permuting its binary string: new bit p is old bit
+        # order[p], and the string lists bit n - 1 first
+        bits, permute = f"0{n}b", itemgetter(*[n - 1 - v for v in reversed(order)])
         self.n = n
-        self.adj = rows
+        self.adj = [int("".join(permute(format(adj[v], bits))), 2) for v in order]
         self.order = order
         _allow_depth(n)
         self.stack: list[int] = []
@@ -194,7 +190,9 @@ class _CliqueSearch:
         self.stop = 0
         self.best: list[int] = []
         self.cap = 0
-        self.found: list[tuple[int, ...]] = []
+        self.keep = 0
+        self.count = 0
+        self.found: list[tuple[int, ...]] | None = []
 
     def maximise(self, stop: int | None = None) -> list[int]:
         """A maximum clique, sorted, in the original labels.
@@ -216,23 +214,33 @@ class _CliqueSearch:
                 pass
         return sorted(self.order[v] for v in self.best)
 
-    def collect(self, target: int, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-        """Every clique of size target, canonically sorted, and whether the
-        count cap or the deadline cut the list short."""
+    def collect(
+        self, target: int, cap: int, keep: int | None = None
+    ) -> tuple[list[tuple[int, ...]] | None, int, bool]:
+        """Every clique of size target, canonically sorted, their count, and
+        whether the count cap or the deadline cut the search short.
+
+        When the result would hold more than `keep` cliques (None: no limit),
+        the list is dropped as soon as that is known and None is returned in
+        its place; the count goes on.
+        """
         self.floor = target - 1
         self.leaf_size = target - 2
         self.cap = cap
+        self.keep = cap if keep is None else keep
         truncated = False
         try:
             self._expand(0, (1 << self.n) - 1)
         except (_Done, _Timeout):
             truncated = True
-        # back to the original labels in place, so only one copy is ever held
-        found, label = self.found, self.order.__getitem__
-        for i, c in enumerate(found):
-            found[i] = tuple(sorted(map(label, c)))
-        found.sort()
-        return found, truncated
+        found = self.found
+        if found is not None:
+            # back to the original labels in place, so only one copy is ever held
+            label = self.order.__getitem__
+            for i, c in enumerate(found):
+                found[i] = tuple(sorted(map(label, c)))
+            found.sort()
+        return found, self.count, truncated
 
     def _expand(self, size: int, pool: int) -> None:
         self.deadline.check()
@@ -274,11 +282,33 @@ class _CliqueSearch:
             pool ^= 1 << v
 
     def _leaves(self, pool: int) -> None:
-        """Collect mode, one or two vertices short of the target: list the cliques."""
+        """Collect mode, one or two vertices short of the target: count the
+        cliques by popcount, and list them while the result may keep them."""
+        adj = self.adj
+        one_short = len(self.stack) == self.floor
+        if one_short:
+            new = pool.bit_count()
+        else:
+            new, heads = 0, pool
+            while heads:
+                b = heads & -heads
+                heads ^= b
+                new += (heads & adj[b.bit_length() - 1]).bit_count()
+        self.count += new
+        if self.found is not None:
+            if min(self.count, self.cap) > self.keep:
+                self.found = None  # the result will hold no sets: count only from here
+            else:
+                self._list(pool, one_short)
+        if self.count > self.cap:
+            self.count = self.cap
+            raise _Done
+
+    def _list(self, pool: int, one_short: bool) -> None:
+        """Append the cliques _leaves counted, at most up to the count cap."""
         base = tuple(self.stack)
         found, cap, adj = self.found, self.cap, self.adj
-        one_short = len(base) == self.floor
-        while pool:
+        while pool and len(found) < cap:
             b = pool & -pool
             pool ^= b
             head = base + (b.bit_length() - 1,)
@@ -290,9 +320,7 @@ class _CliqueSearch:
                     c = rest & -rest
                     rest ^= c
                     found.append(head + (c.bit_length() - 1,))
-            if len(found) > cap:
-                del found[cap:]
-                raise _Done
+        del found[cap:]
 
 
 def max_independent_set(
@@ -329,24 +357,27 @@ def max_independent_set(
 
 
 def enumerate_maximum_independent_sets(
-    g: Graph, target_size: int, budget: Budget | None = None
+    g: Graph, target_size: int, budget: Budget | None = None, keep: int | None = None
 ) -> EnumerationResult:
     """Every independent set of g with exactly target_size vertices.
 
     With target_size == alpha(g) this lists the maximum independent sets.
     Results are canonically sorted; hitting the count cap or the time limit
-    marks the result truncated and returns the sets found so far.
+    marks the result truncated and returns the sets found so far. When the
+    count exceeds `keep` (None: no limit) the sets are counted, not held:
+    the result has sets == (), and a count and truncation flag that equal
+    a full listing's unless the time limit stopped it.
     """
     if not 1 <= target_size <= g.n:
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")
     budget = budget or Budget()
     start = time.monotonic()
     search = _CliqueSearch(_complement_rows(g), budget.time_limit)
-    sets, truncated = search.collect(target_size, budget.count_cap)
+    sets, count, truncated = search.collect(target_size, budget.count_cap, keep)
     return EnumerationResult(
         target_size=target_size,
-        sets=tuple(sets),
-        count=len(sets),
+        sets=() if sets is None else tuple(sets),
+        count=count,
         truncated=truncated,
         elapsed=time.monotonic() - start,
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -262,6 +263,20 @@ class TestPipeline:
         assert report.alpha_tilde is None
         assert report.alpha_tilde_skipped == "num-is-over-cap"
         assert report.m == 2
+
+    def test_sets_over_cap_are_counted_not_held(self):
+        # the table row's count cap; the parent listed all 195270 sets (22 MiB)
+        cfg = PipelineConfig(count_cap=195272)
+        tracemalloc.start()
+        try:
+            report = compute_bounds_pipeline(queen_graph(8, 12), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_is == 195270
+        assert not report.num_is_truncated
+        assert report.alpha_tilde_skipped == "num-is-over-cap"
+        assert peak < 2 * 2**20
 
     def test_full_chain_on_matching(self):
         report = compute_bounds_pipeline(matching(3))

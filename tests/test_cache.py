@@ -218,6 +218,46 @@ class TestRobustness:
         assert report_fields(again) == report_fields(report)
 
 
+    # well-typed entries no solve of queen5_5 (n = 25) can produce
+    OUT_OF_RANGE = {
+        "alpha_bar 0": {"alpha_bar": 0},
+        "alpha_bar above n": {"alpha_bar": 26},
+        "negative num_is": {"num_is": -3},
+        "no sets, not truncated": {"num_is": 0, "num_is_truncated": False},
+        "alpha_tilde 0": {"alpha_tilde": 0},
+    }
+
+    @pytest.mark.parametrize("damage", list(OUT_OF_RANGE))
+    def test_out_of_range_entry_is_a_miss_and_is_overwritten(self, tmp_path, damage):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        fresh = compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text(encoding="utf-8"))
+        entry.write_text(json.dumps({**obj, **self.OUT_OF_RANGE[damage]}), encoding="utf-8")
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert not report.cached
+        assert report.sigma_m == 75
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        assert stored.keys() == obj.keys()
+        assert all(stored[k] == obj[k] for k in obj if k != "timings")
+        again = compute_bounds_pipeline(g, cache=cache)
+        assert again.cached
+        assert report_fields(again) == report_fields(fresh)
+
+    def test_truncated_entry_with_no_sets_hits(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text(encoding="utf-8"))
+        entry.write_text(json.dumps({**obj, "num_is": 0, "num_is_truncated": True,
+                                     "alpha_tilde": None}), encoding="utf-8")
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert report.cached
+        assert (report.num_is, report.m) == (0, 5)
+
+
 class TestCountsNotSets:
     def test_entry_holds_no_per_set_data(self, tmp_path):
         cache = SolveCache(tmp_path)

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from bruteforce import brute_alpha_and_sets, count_sets_of_size, random_graph
+from sumcol import queen_graph
 from sumcol.graph import Graph
 from sumcol.stable import (
     Budget,
+    _CliqueSearch,
     degree_rule_alpha_bar,
     enumerate_maximum_independent_sets,
     greedy_coloring_alpha_bar,
@@ -197,3 +199,72 @@ class TestEnumeration:
                         assert len(set(res.sets)) == cap
                         assert list(res.sets) == sorted(res.sets)
                         assert all(len(s) == size and is_independent(g, s) for s in res.sets)
+
+
+class TestCountOnlyTail:
+    def test_keep_bounds_the_sets_but_never_the_count(self):
+        rng = random.Random(21)
+        for p in (0.05, 0.15, 0.3, 0.6):
+            for _ in range(6):
+                g = random_graph(rng.randint(2, 13), p, rng)
+                alpha, _ = brute_alpha_and_sets(g)
+                for size in range(1, alpha + 1):
+                    total = count_sets_of_size(g, size)
+                    listed = enumerate_maximum_independent_sets(g, size).sets
+                    for keep in (0, 1, total - 1, total, total + 1, None):
+                        res = enumerate_maximum_independent_sets(g, size, keep=keep)
+                        assert (res.count, res.truncated) == (total, False), (p, size, keep)
+                        if keep is not None and total > keep:
+                            assert res.sets == ()
+                        else:
+                            assert res.sets == listed
+
+    def test_count_cap_past_keep_stops_the_count(self):
+        rng = random.Random(22)
+        for p in (0.1, 0.4):
+            for _ in range(6):
+                g = random_graph(12, p, rng)
+                alpha, _ = brute_alpha_and_sets(g)
+                for size in range(1, alpha + 1):
+                    total = count_sets_of_size(g, size)
+                    for keep in {k for k in (0, 1, total // 3) if k + 1 < total}:
+                        for cap in {keep + 1, (keep + total) // 2, total - 1}:
+                            res = enumerate_maximum_independent_sets(
+                                g, size, Budget(count_cap=cap), keep=keep
+                            )
+                            assert (res.sets, res.count, res.truncated) == ((), cap, True)
+
+    def test_keep_at_the_count_cap_keeps_the_capped_prefix(self):
+        g = Graph.from_edges(6, [])  # 15 independent pairs
+        full = enumerate_maximum_independent_sets(g, 2, Budget(count_cap=14))
+        for keep in (14, 15, None):
+            res = enumerate_maximum_independent_sets(g, 2, Budget(count_cap=14), keep=keep)
+            assert (res.sets, res.count, res.truncated) == (full.sets, 14, True)
+
+    def test_time_limit_in_the_tail_marks_the_count_truncated(self):
+        g = queen_graph(8, 12)  # 195270 maximum independent sets of size 8
+        res = enumerate_maximum_independent_sets(g, 8, Budget(time_limit=1e-4), keep=0)
+        assert res.truncated
+        assert res.sets == ()
+        assert 0 < res.count < 195270
+
+
+def per_bit_relabel(adj, order):
+    """Rows of adj with vertex order[p] renamed p, one bit at a time."""
+    pos = {v: p for p, v in enumerate(order)}
+    rows = [0] * len(adj)
+    for v, row in enumerate(adj):
+        for u in range(len(adj)):
+            if row >> u & 1:
+                rows[pos[v]] |= 1 << pos[u]
+    return rows
+
+
+class TestRelabel:
+    def test_rows_match_a_per_bit_relabel(self):
+        rng = random.Random(23)
+        for n in [1, 2, 2, 3] + [rng.randint(1, 70) for _ in range(30)]:
+            g = random_graph(n, rng.uniform(0.05, 0.95), rng)
+            search = _CliqueSearch(list(g.adj), 1.0)
+            assert sorted(search.order) == list(range(n))
+            assert search.adj == per_bit_relabel(g.adj, search.order)
