@@ -48,9 +48,7 @@ from .stable import (
     AlphaResult,
     Budget,
     EnumerationResult,
-    degree_rule_alpha_bar,
     enumerate_maximum_independent_sets,
-    greedy_coloring_alpha_bar,
     max_independent_set,
 )
 
@@ -82,12 +80,10 @@ __all__ = [
     "compute_m",
     "cost",
     "default_cache_dir",
-    "degree_rule_alpha_bar",
     "enumerate_admissible",
     "enumerate_maximum_independent_sets",
     "generate",
     "get_row",
-    "greedy_coloring_alpha_bar",
     "insertions_graph",
     "is_admissible",
     "lattice_dag",

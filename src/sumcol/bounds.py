@@ -259,11 +259,13 @@ def _is_stage_record(obj: dict, n: int) -> bool:
 def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
     """Run the solver stages and return their STAGE_FIELDS.
 
-    Stages: stability number (exact branch and bound, or the smaller of the
-    degree-rule and greedy-coloring upper bounds on timeout), enumeration
-    of the maximum independent sets, then their intersection graph's
-    stability number. A later stage is skipped (never guessed) when an
-    earlier one is inexact or truncated, and the skip reason is recorded.
+    Stages: stability number (exact branch and bound, or the upper bound
+    the search held when its time limit stopped it), enumeration of the
+    maximum independent sets, then their intersection graph's stability
+    number. A later stage is skipped (never guessed) when an earlier one is
+    inexact or truncated, and the skip reason is recorded. An exact alpha
+    with no independent set of its size can only be an alpha override above
+    alpha(g), which raises ValueError.
     """
     if cfg.alpha_override is not None:
         if not 1 <= cfg.alpha_override <= g.n:
@@ -295,6 +297,11 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
     enum = enumerate_maximum_independent_sets(
         g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap), keep=cfg.mis_graph_cap
     )
+    if not enum.count and not enum.truncated:
+        raise ValueError(
+            f"alpha override {alpha.value} is above alpha(G): "
+            f"no independent set has {alpha.value} vertices"
+        )
     timings["enumeration"] = enum.elapsed
     stages["num_is"] = enum.count
     stages["num_is_truncated"] = enum.truncated

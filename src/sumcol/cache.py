@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .graph import Graph
 
-CACHE_SCHEMA = "sumcol-cache-v4"
+CACHE_SCHEMA = "sumcol-cache-v5"
 
 
 def _graph_digest(g: Graph) -> str:

@@ -30,7 +30,12 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 
-_STAGES = ("alpha", "enum", "alpha-tilde")
+# each --time-limit stage and the PipelineConfig field it sets
+_STAGES = {
+    "alpha": "alpha_time_limit",
+    "enum": "enum_time_limit",
+    "alpha-tilde": "alpha_tilde_time_limit",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +60,7 @@ def _parse_time_limits(pairs: list[str]) -> dict[str, float]:
             seconds = float(raw)
         except ValueError:
             raise ValueError(f"bad number of seconds in {pair!r}") from None
-        if seconds <= 0:
+        if not seconds > 0:  # NaN too: no clock ever passes a NaN deadline
             raise ValueError(f"time limit must be positive, got {pair!r}")
         if stage == "all":
             for s in _STAGES:
@@ -69,9 +74,7 @@ def _build_config(args, *, count_cap: int | None = None,
                   known_chi_lb: int | None = None) -> PipelineConfig:
     limits = _parse_time_limits(args.time_limit)
     return PipelineConfig(
-        alpha_time_limit=limits.get("alpha", 60.0),
-        enum_time_limit=limits.get("enum", 60.0),
-        alpha_tilde_time_limit=limits.get("alpha-tilde", 60.0),
+        **{_STAGES[stage]: seconds for stage, seconds in limits.items()},
         count_cap=count_cap if count_cap is not None else args.count_cap,
         known_chi_lb=known_chi_lb,
         alpha_override=getattr(args, "alpha", None),
@@ -189,7 +192,7 @@ def _table_rows(args) -> list[fixtures.ReferenceRow]:
     return list(fixtures.rows_in_tier(*tiers))
 
 
-def _row_status(row, report, mismatches) -> str:
+def _row_status(mismatches) -> str:
     if not mismatches:
         return "ok"
     unverified = {col for col, want, got in mismatches if got is None}
@@ -229,7 +232,7 @@ def cmd_table(args) -> int:
         cfg = _build_config(args, count_cap=cap, known_chi_lb=row.chi_lb)
         report = compute_bounds_pipeline(g, cfg, cache=cache)
         mism = fixtures.compare_report(report, row, corrected_num_is=not args.strict)
-        results.append((row, report, mism, _row_status(row, report, mism), None))
+        results.append((row, report, mism, _row_status(mism), None))
 
     _emit_table(args, results)
     bad = [r for r in results if r[3] in ("mismatch", "incomplete")]
@@ -321,9 +324,9 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--count-cap",
         type=int,
-        default=5000,
+        default=PipelineConfig.count_cap,
         metavar="N",
-        help="stop enumerating independent sets beyond N (default 5000)",
+        help="stop enumerating independent sets beyond N (default %(default)s)",
     )
     p.add_argument("--cache-dir", metavar="PATH", default=None,
                    help="solver-stage cache directory (default: user cache dir)")

@@ -135,7 +135,7 @@ def max_independent_set(mg: MisGraph, budget: Budget | None = None) -> AlphaResu
     union, an exact-cover search runs first: a cover makes alpha~ = cap
     ("exact-cover"), and a proof that none exists lowers the cap by one. The
     clique search then runs on the remaining budget and stops at the cap. A
-    search stopped by the budget reports min(kernel fallback, cap),
+    search stopped by the budget reports min(the bound it held, cap),
     exact=False (method "cap" when the cap is the smaller).
     """
     budget = budget or Budget()

@@ -1,4 +1,5 @@
-"""Maximum independent set: exact search, safe upper bounds, enumeration.
+"""Maximum independent set: exact search, or the upper bound a stopped
+search holds, and enumeration.
 
 An independent set of g is a clique of complement(g), so both the exact
 search and the enumeration run one branch and bound clique kernel
@@ -8,6 +9,8 @@ beat: "maximise" raises that floor with each incumbent, "collect" fixes it
 one below the target size and lists every clique of that size. Past a
 given number of cliques, collect drops its list and only counts the rest,
 by popcounts over its last two levels, so a count needs no memory per set.
+A maximise search stopped by its time limit still reports the upper bound
+on alpha that its root coloring held (see _CliqueSearch).
 
 Everything is single threaded and deterministic: vertices are relabeled
 by descending complement degree (index ascending on ties) and each node
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -35,7 +39,7 @@ class Budget:
     count_cap: int = 5000
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN too: no clock ever passes a NaN deadline
             raise ValueError("time_limit must be positive")
         if self.count_cap <= 0:
             raise ValueError("count_cap must be positive")
@@ -46,9 +50,10 @@ class AlphaResult:
     """Outcome of a stability number computation.
 
     value is alpha(g) when exact, otherwise an upper bound alpha_bar >= alpha(g).
-    method is one of "exact-bnb", "degree-rule", "greedy-coloring", "provided",
-    or, for alpha~ on an intersection graph, "exact-cover" (an exact cover of
-    the sets' union reached the cap) and "cap" (the cap bounds a stopped search).
+    method is one of "exact-bnb", "bnb-bound" (the bound a search stopped by
+    its time limit held), "provided", or, for alpha~ on an intersection
+    graph, "exact-cover" (an exact cover of the sets' union reached the cap)
+    and "cap" (the cap bounds a stopped search).
     """
 
     value: int
@@ -107,51 +112,6 @@ def _allow_depth(depth: int) -> None:
         sys.setrecursionlimit(needed)
 
 
-def _complement_rows(g: Graph) -> list[int]:
-    full = (1 << g.n) - 1
-    return [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)]
-
-
-def degree_rule_alpha_bar(g: Graph) -> int:
-    """Degree-sequence upper bound on alpha(g).
-
-    alpha(g) = omega(complement), and a k-clique needs k vertices of
-    complement degree >= k-1; this returns the largest k such that at least
-    k vertices have complement degree >= k - 1, floored at 1 for nonempty
-    graphs.
-    """
-    if g.n == 0:
-        return 0
-    degs = sorted((g.n - 1 - g.degree(v) for v in range(g.n)), reverse=True)
-    k = 0
-    for i, d in enumerate(degs):
-        if d >= i:
-            k = i + 1
-    return max(k, 1)
-
-
-def greedy_coloring_alpha_bar(g: Graph) -> int:
-    """Upper bound on alpha(g) by greedy coloring of complement(g).
-
-    Vertices are colored in largest-complement-degree-first order (index
-    ascending on ties) with the smallest feasible color; the class count
-    bounds omega(complement) = alpha(g) from above.
-    """
-    if g.n == 0:
-        return 0
-    comp = _complement_rows(g)
-    order = sorted(range(g.n), key=lambda v: (-comp[v].bit_count(), v))
-    class_masks: list[int] = []
-    for v in order:
-        for i, mask in enumerate(class_masks):
-            if not mask & comp[v]:
-                class_masks[i] |= 1 << v
-                break
-        else:
-            class_masks.append(1 << v)
-    return max(len(class_masks), 1)
-
-
 class _CliqueSearch:
     """Branch and bound over clique adjacency bitmasks (Tomita and Kameda).
 
@@ -169,11 +129,15 @@ class _CliqueSearch:
       color bound can no longer prune, and listed only while the result
       may still hold at most `keep` cliques.
 
-    Past its deadline, maximise raises _Timeout and collect returns what it
-    found, marked truncated.
+    Past its deadline, maximise raises _Timeout and leaves in `bound` the
+    clique number bound it held, and collect returns what it found, marked
+    truncated. The root expands its candidates in descending color, so
+    every clique not yet searched when the search stops while expanding
+    root candidate i lies in order[:i + 1], whose coloring has colors[i]
+    classes; the bound is the larger of that and the incumbent's size.
     """
 
-    def __init__(self, adj: list[int], seconds: float):
+    def __init__(self, adj: Sequence[int], seconds: float):
         self.deadline = _Deadline(seconds)
         n = len(adj)
         order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
@@ -186,6 +150,9 @@ class _CliqueSearch:
         _allow_depth(n)
         self.stack: list[int] = []
         self.floor = 0
+        # the trivial bound holds until the root has colored its pool; the
+        # clock is first probed at the stride-th check, below the root
+        self.bound = n
         self.leaf_size = n
         self.stop = 0
         self.best: list[int] = []
@@ -264,22 +231,28 @@ class _CliqueSearch:
                 avail ^= b
                 rest ^= b
         stack = self.stack
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= self.floor:
-                return
-            v = order[i]
-            stack.append(v)
-            child = pool & adj[v]
-            if child:
-                self._expand(size + 1, child)
-            elif size + 1 > self.floor:
-                # only maximise gets here: collect lists its leaves in _leaves
-                self.floor = size + 1
-                self.best = stack.copy()
-                if self.floor >= self.stop:
-                    raise _Done
-            stack.pop()
-            pool ^= 1 << v
+        try:
+            for i in range(len(order) - 1, -1, -1):
+                if size + colors[i] <= self.floor:
+                    return
+                v = order[i]
+                stack.append(v)
+                child = pool & adj[v]
+                if child:
+                    self._expand(size + 1, child)
+                elif size + 1 > self.floor:
+                    # only maximise gets here: collect lists its leaves in _leaves
+                    self.floor = size + 1
+                    self.best = stack.copy()
+                    if self.floor >= self.stop:
+                        raise _Done
+                stack.pop()
+                pool ^= 1 << v
+        except _Timeout:
+            # runs only on the way out of a stop, so no node pays for the bound
+            if not size:
+                self.bound = max(self.floor, colors[i])
+            raise
 
     def _leaves(self, pool: int) -> None:
         """Collect mode, one or two vertices short of the target: count the
@@ -328,25 +301,21 @@ def max_independent_set(
 ) -> AlphaResult:
     """Exact alpha(g) by branch and bound, or a safe upper bound on timeout.
 
-    On budget exhaustion the result carries exact=False and the smaller of
-    degree_rule_alpha_bar and greedy_coloring_alpha_bar, with the method
-    naming it, so value >= alpha(g) always holds. `stop`, a proven upper
-    bound on alpha(g), ends the search as soon as an independent set of
-    that size is found.
+    On budget exhaustion the result carries exact=False and the bound the
+    stopped search held (method "bnb-bound"), never above the color count
+    of its root's greedy coloring, so value >= alpha(g) always holds. `stop`,
+    a proven upper bound on alpha(g), ends the search as soon as an
+    independent set of that size is found.
     """
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
     budget = budget or Budget()
     start = time.monotonic()
-    search = _CliqueSearch(_complement_rows(g), budget.time_limit)
+    search = _CliqueSearch(g.complement().adj, budget.time_limit)
     try:
         witness = search.maximise(stop)
     except _Timeout:
-        value, method = min(
-            (degree_rule_alpha_bar(g), "degree-rule"),
-            (greedy_coloring_alpha_bar(g), "greedy-coloring"),
-        )
-        return AlphaResult(value, False, time.monotonic() - start, method)
+        return AlphaResult(search.bound, False, time.monotonic() - start, "bnb-bound")
     return AlphaResult(
         value=len(witness),
         exact=True,
@@ -372,7 +341,7 @@ def enumerate_maximum_independent_sets(
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")
     budget = budget or Budget()
     start = time.monotonic()
-    search = _CliqueSearch(_complement_rows(g), budget.time_limit)
+    search = _CliqueSearch(g.complement().adj, budget.time_limit)
     sets, count, truncated = search.collect(target_size, budget.count_cap, keep)
     return EnumerationResult(
         target_size=target_size,

@@ -74,6 +74,47 @@ def brute_alpha_tilde(sets) -> int:
     return best
 
 
+def degree_rule_alpha_bar(g: Graph) -> int:
+    """Degree-sequence upper bound on alpha(g).
+
+    alpha(g) = omega(complement), and a k-clique needs k vertices of
+    complement degree >= k-1; this returns the largest k such that at least
+    k vertices have complement degree >= k - 1, floored at 1 for nonempty
+    graphs.
+    """
+    if g.n == 0:
+        return 0
+    degs = sorted((g.n - 1 - g.degree(v) for v in range(g.n)), reverse=True)
+    k = 0
+    for i, d in enumerate(degs):
+        if d >= i:
+            k = i + 1
+    return max(k, 1)
+
+
+def greedy_coloring_alpha_bar(g: Graph) -> int:
+    """Upper bound on alpha(g) by greedy coloring of complement(g).
+
+    Vertices are colored in largest-complement-degree-first order (index
+    ascending on ties) with the smallest feasible color; the class count
+    bounds omega(complement) = alpha(g) from above. By Welsh and Powell
+    (Comput. J. 1967) it never exceeds degree_rule_alpha_bar.
+    """
+    if g.n == 0:
+        return 0
+    comp = g.complement().adj
+    order = sorted(range(g.n), key=lambda v: (-comp[v].bit_count(), v))
+    class_masks: list[int] = []
+    for v in order:
+        for i, mask in enumerate(class_masks):
+            if not mask & comp[v]:
+                class_masks[i] |= 1 << v
+                break
+        else:
+            class_masks.append(1 << v)
+    return max(len(class_masks), 1)
+
+
 def count_sets_of_size(g: Graph, size: int) -> int:
     """Number of independent sets of exactly `size` vertices (2^n sweep)."""
     n, adj = g.n, g.adj

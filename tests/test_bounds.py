@@ -236,12 +236,18 @@ class TestPipeline:
         with pytest.raises(ValueError):
             compute_bounds_pipeline(g, PipelineConfig(alpha_override=4))
 
+    def test_alpha_override_above_alpha_is_named(self):
+        # queen5_5 has alpha 5: no set of 6 exists, and the error says why
+        # before the intersection-graph stage could see an empty family
+        with pytest.raises(ValueError, match=r"alpha override 6 is above alpha\(G\)"):
+            compute_bounds_pipeline(queen_graph(5, 5), PipelineConfig(alpha_override=6))
+
     def test_inexact_alpha_skips_later_stages(self):
         rng = random.Random(3)
         g = random_graph(130, 0.15, rng, name="hard")
         report = compute_bounds_pipeline(g, PipelineConfig(alpha_time_limit=1e-4))
         assert not report.alpha_exact
-        assert report.alpha_method == "greedy-coloring"
+        assert report.alpha_method == "bnb-bound"
         assert report.num_is is None
         assert report.enum_skipped == "alpha-inexact"
         assert report.alpha_tilde is None

@@ -146,8 +146,34 @@ class TestRobustness:
         entry.write_text(json.dumps(obj), encoding="utf-8")
         report = compute_bounds_pipeline(g, cache=cache)
         assert not report.cached
-        assert CACHE_SCHEMA == "sumcol-cache-v4"
+        assert CACHE_SCHEMA == "sumcol-cache-v5"
         assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
+        assert compute_bounds_pipeline(g, cache=cache).cached
+
+    def test_v4_entry_from_a_stopped_alpha_is_a_miss_and_is_overwritten(self, tmp_path):
+        # v4 is v5's layout, but a stopped alpha in it holds a method no longer
+        # produced and a looser bound than the search now reports
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        fresh = compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text(encoding="utf-8"))
+        stages = {k: obj[k] for k in STAGE_FIELDS}
+        obj.update(
+            schema="sumcol-cache-v4", alpha_bar=6, alpha_exact=False,
+            alpha_method="greedy-coloring", num_is=None, enum_skipped="alpha-inexact",
+            alpha_tilde=None, alpha_tilde_exact=False,
+            alpha_tilde_skipped="enumeration-skipped",
+        )
+        entry.write_text(json.dumps(obj), encoding="utf-8")
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert not report.cached
+        assert report_fields(report) == report_fields(fresh)
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        assert stored["schema"] == CACHE_SCHEMA
+        assert {k: stored[k] for k in STAGE_FIELDS if k != "timings"} == {
+            k: v for k, v in stages.items() if k != "timings"
+        }
         assert compute_bounds_pipeline(g, cache=cache).cached
 
     @staticmethod

@@ -128,6 +128,19 @@ class TestBound:
         assert code == 1
         assert "alpha override out of range" in err
 
+    def test_alpha_override_above_alpha_names_the_override(self, capsys):
+        code, out, err = run(capsys, "bound", "queen5_5", "--alpha", "6", "--no-cache")
+        assert (code, out) == (1, "")
+        assert "alpha override 6 is above alpha(G)" in err
+
+    def test_nan_time_limit_is_a_usage_error(self, capsys):
+        # a NaN deadline is never passed, so it would switch the limit off
+        code, _, err = run(
+            capsys, "bound", "queen5_5", "--time-limit", "all=nan", "--no-cache"
+        )
+        assert code == 1
+        assert "time limit must be positive" in err
+
     @pytest.mark.parametrize(
         "value", ["alpha", "warp=10", "alpha=abc", "alpha=-3", "enum=0"]
     )
@@ -230,12 +243,9 @@ class TestTable:
         assert (code1, out1) == (code2, out2)
 
     def test_row_status_classifies_incomplete(self):
-        assert cli._row_status(None, None, []) == "ok"
-        assert cli._row_status(None, None, [("num_is", 5, None)]) == "incomplete"
-        assert (
-            cli._row_status(None, None, [("num_is", 5, None), ("m", 2, 1)])
-            == "mismatch"
-        )
+        assert cli._row_status([]) == "ok"
+        assert cli._row_status([("num_is", 5, None)]) == "incomplete"
+        assert cli._row_status([("num_is", 5, None), ("m", 2, 1)]) == "mismatch"
 
 
 class TestLattice:
@@ -326,6 +336,10 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("queen5_5,")
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in sumcol.__all__ if not hasattr(sumcol, name)]
+        assert missing == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,13 +5,17 @@ import random
 
 import pytest
 
-from bruteforce import brute_alpha_and_sets, brute_alpha_tilde, random_graph
+from bruteforce import (
+    brute_alpha_and_sets,
+    brute_alpha_tilde,
+    degree_rule_alpha_bar,
+    random_graph,
+)
 from sumcol import PipelineConfig, compute_bounds_pipeline, compare_report, get_row
 from sumcol.instances import queen_graph
 from sumcol.misgraph import MisGraph, alpha_tilde, build_mis_graph, compute_m
 from sumcol.stable import (
     Budget,
-    degree_rule_alpha_bar,
     enumerate_maximum_independent_sets,
     max_independent_set,
 )

@@ -4,15 +4,20 @@ import random
 
 import pytest
 
-from bruteforce import brute_alpha_and_sets, count_sets_of_size, random_graph
-from sumcol import queen_graph
+from bruteforce import (
+    brute_alpha_and_sets,
+    count_sets_of_size,
+    degree_rule_alpha_bar,
+    greedy_coloring_alpha_bar,
+    random_graph,
+)
+from sumcol import queen_graph, stable
 from sumcol.graph import Graph
 from sumcol.stable import (
     Budget,
     _CliqueSearch,
-    degree_rule_alpha_bar,
+    _Timeout,
     enumerate_maximum_independent_sets,
-    greedy_coloring_alpha_bar,
     max_independent_set,
 )
 
@@ -46,6 +51,11 @@ class TestBudget:
             Budget(time_limit=0)
         with pytest.raises(ValueError):
             Budget(count_cap=0)
+
+    def test_nan_time_limit_is_rejected(self):
+        # time.monotonic() > nan is always false: the search would never stop
+        with pytest.raises(ValueError, match="time_limit must be positive"):
+            Budget(time_limit=float("nan"))
 
 
 class TestUpperBoundRules:
@@ -116,9 +126,48 @@ class TestMaxIndependentSet:
         g = random_graph(130, 0.15, rng)
         res = max_independent_set(g, Budget(time_limit=1e-4))
         assert not res.exact
-        assert res.method == "greedy-coloring"
-        assert res.value == greedy_coloring_alpha_bar(g) < degree_rule_alpha_bar(g)
+        assert res.method == "bnb-bound"
+        assert res.value <= greedy_coloring_alpha_bar(g) < degree_rule_alpha_bar(g)
         assert res.witness is None
+
+
+class _StopAt:
+    """A deadline that passes at its `stop`-th check, counting every check."""
+
+    def __init__(self, stop=None):
+        self.stop = stop
+        self.ticks = 0
+
+    def check(self):
+        self.ticks += 1
+        if self.ticks == self.stop:
+            raise _Timeout
+
+
+class TestStoppedSearchBound:
+    def test_every_stop_holds_a_bound_between_alpha_and_the_greedy_bound(
+        self, monkeypatch
+    ):
+        rng = random.Random(11)
+        stops = below_greedy = 0
+        for _ in range(150):
+            g = random_graph(rng.randint(8, 18), rng.uniform(0.1, 0.9), rng)
+            counter = _StopAt()
+            monkeypatch.setattr(stable, "_Deadline", lambda seconds: counter)
+            exact = max_independent_set(g).value
+            alpha, _ = brute_alpha_and_sets(g)
+            greedy, degree = greedy_coloring_alpha_bar(g), degree_rule_alpha_bar(g)
+            assert exact == alpha and greedy <= degree
+            # the first check is the root's, made before it colors its pool
+            for stop in range(2, counter.ticks + 1):
+                monkeypatch.setattr(stable, "_Deadline", lambda seconds: _StopAt(stop))
+                res = max_independent_set(g)
+                assert (res.exact, res.method) == (False, "bnb-bound")
+                assert alpha <= res.value <= greedy <= degree
+                stops += 1
+                below_greedy += res.value < greedy
+        assert stops > 150
+        assert below_greedy > 0
 
 
 class TestEnumeration:
