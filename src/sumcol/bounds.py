@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_type_hints
 
 from .graph import Graph
 from .misgraph import alpha_tilde as _alpha_tilde
@@ -117,11 +117,7 @@ def lb_chi(n: int, alpha_bar: int, m: int) -> int:
         raise ValueError("alpha_bar must be in 1..n")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if alpha_bar == 1:
-        return n
-    m_eff = min(m, n // alpha_bar)
-    q, r = divmod(n - m_eff * alpha_bar, alpha_bar - 1)
-    return m_eff + q + (1 if r else 0)
+    return len(sigma_m0(n, alpha_bar, m)[1].parts)
 
 
 def choose_s_lower(
@@ -144,6 +140,10 @@ def choose_s_lower(
     return base, "ceil-n-over-alpha"
 
 
+# Past this many maximum sets alpha~ is skipped, so the sets are only counted.
+MIS_GRAPH_CAP = 5000
+
+
 @dataclass
 class PipelineConfig:
     """Stage budgets and overrides for compute_bounds_pipeline."""
@@ -152,7 +152,6 @@ class PipelineConfig:
     enum_time_limit: float = 60.0
     alpha_tilde_time_limit: float = 60.0
     count_cap: int = 5000
-    mis_graph_cap: int = 5000
     known_chi_lb: int | None = None
     alpha_override: int | None = None
 
@@ -215,37 +214,27 @@ class BoundReport:
         return ",".join(cell(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
-# The report fields the solver stages produce: what the cache stores, and all
-# the formulas read besides the graph and the config.
+# The solver stages' outcomes: what the cache stores, and all the formulas
+# read besides the graph and the config. A run's timings stay with its report.
 STAGE_FIELDS = (
     "alpha_bar", "alpha_exact", "alpha_method", "num_is", "num_is_truncated",
     "enum_skipped", "alpha_tilde", "alpha_tilde_exact", "alpha_tilde_skipped",
-    "timings",
 )
 
-
-def _json_type_check(hint):
-    """A test that a value loaded from JSON has the annotated type `hint`."""
-    if get_origin(hint) is dict:
-        key_ok, value_ok = map(_json_type_check, get_args(hint))
-        return lambda x: type(x) is dict and all(
-            key_ok(k) and value_ok(v) for k, v in x.items()
-        )
-    kinds = get_args(hint) or (hint,)
-    # exact types: a JSON true is not an int, and a timing is always a float
-    return lambda x: type(x) in kinds
-
-
-# Resolved once, at import: get_type_hints costs about as much as a warm report.
-_REPORT_TYPES = get_type_hints(BoundReport)
-_STAGE_CHECKS = {name: _json_type_check(_REPORT_TYPES[name]) for name in STAGE_FIELDS}
+# The types each stage field may hold, resolved once at import (get_type_hints
+# costs about as much as a warm report). Exact types: a JSON true is not an int.
+_STAGE_TYPES = {
+    name: get_args(hint) or (hint,)
+    for name, hint in get_type_hints(BoundReport).items()
+    if name in STAGE_FIELDS
+}
 
 
 def _is_stage_record(obj: dict, n: int) -> bool:
     """True when obj has exactly the STAGE_FIELDS, each of its field's type,
     with values a solve of an n-vertex graph can produce."""
-    if obj.keys() != _STAGE_CHECKS.keys() or not all(
-        check(obj[name]) for name, check in _STAGE_CHECKS.items()
+    if obj.keys() != _STAGE_TYPES.keys() or not all(
+        type(obj[name]) in kinds for name, kinds in _STAGE_TYPES.items()
     ):
         return False
     num_is, tilde = obj["num_is"], obj["alpha_tilde"]
@@ -256,8 +245,8 @@ def _is_stage_record(obj: dict, n: int) -> bool:
     )
 
 
-def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
-    """Run the solver stages and return their STAGE_FIELDS.
+def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]]:
+    """Run the solver stages and return their STAGE_FIELDS and timings.
 
     Stages: stability number (exact branch and bound, or the upper bound
     the search held when its time limit stopped it), enumeration of the
@@ -286,16 +275,14 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
         "alpha_tilde": None,
         "alpha_tilde_exact": False,
         "alpha_tilde_skipped": None,
-        "timings": timings,
     }
     if not alpha.exact:
         stages["enum_skipped"] = "alpha-inexact"
         stages["alpha_tilde_skipped"] = "enumeration-skipped"
-        return stages
+        return stages, timings
 
-    # past mis_graph_cap alpha~ is skipped, so the sets are only counted
     enum = enumerate_maximum_independent_sets(
-        g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap), keep=cfg.mis_graph_cap
+        g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap), keep=MIS_GRAPH_CAP
     )
     if not enum.count and not enum.truncated:
         raise ValueError(
@@ -307,7 +294,7 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
     stages["num_is_truncated"] = enum.truncated
     if enum.truncated:
         stages["alpha_tilde_skipped"] = "enumeration-truncated"
-    elif enum.count > cfg.mis_graph_cap:
+    elif enum.count > MIS_GRAPH_CAP:
         stages["alpha_tilde_skipped"] = "num-is-over-cap"
     else:
         tilde = _alpha_tilde(
@@ -316,7 +303,7 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> dict:
         timings["alpha_tilde"] = tilde.elapsed
         stages["alpha_tilde"] = tilde.value
         stages["alpha_tilde_exact"] = tilde.exact
-    return stages
+    return stages, timings
 
 
 def compute_bounds_pipeline(
@@ -339,8 +326,9 @@ def compute_bounds_pipeline(
 
     stages = cache.load(g, cfg) if cache is not None else None
     cached = stages is not None and _is_stage_record(stages, g.n)
+    timings = {}
     if not cached:
-        stages = _solve_stages(g, cfg)
+        stages, timings = _solve_stages(g, cfg)
         if cache is not None:
             cache.store(g, cfg, stages)
 
@@ -357,14 +345,14 @@ def compute_bounds_pipeline(
     sm_value, witness = sigma_m(BoundParams(g.n, alpha_bar, s_lower, m))
     lbm = lbm_sigma(g.n, alpha_bar, s_lower)
     chi_bound = lb_chi(g.n, alpha_bar, m)
-    timings = {**stages["timings"], "formulas": time.monotonic() - t0}
+    timings["formulas"] = time.monotonic() - t0
 
     return BoundReport(
         instance=g.name,
         n=g.n,
         edge_count=g.edge_count,
         density=g.density(),
-        **{**stages, "timings": timings},
+        **stages,
         m=m,
         q=q,
         r=r,
@@ -376,4 +364,5 @@ def compute_bounds_pipeline(
         sigma_m=sm_value,
         witness=witness.parts,
         cached=cached,
+        timings=timings,
     )

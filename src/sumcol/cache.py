@@ -10,9 +10,12 @@ fresh run.
 Entries are standalone JSON files, one per key, safe to delete at any time.
 An entry is the schema tag plus the dict of report stage fields the
 pipeline hands to `store` (`bounds.STAGE_FIELDS`): alpha, the count of
-maximum independent sets and alpha~ with their flags and timings, never
-the sets themselves. The cache does not interpret that dict; the pipeline
-checks a loaded one and treats a malformed entry as a miss.
+maximum independent sets and alpha~ with their flags and skip reasons.
+It holds no timings, so solves that reach the same outcomes write the same
+bytes, and never the sets themselves. The cache does not interpret that
+dict; the pipeline checks a loaded one and treats a malformed entry as a
+miss.
+`clear` deletes only the files the cache writes, by their names.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .graph import Graph
 
-CACHE_SCHEMA = "sumcol-cache-v5"
+CACHE_SCHEMA = "sumcol-cache-v6"
 
 
 def _graph_digest(g: Graph) -> str:
@@ -57,6 +61,10 @@ class SolveCache:
         key = f"{_graph_digest(g)}-{_config_digest(cfg)[:16]}"
         return self.directory / f"{key}.json"
 
+    # the names _path gives entries (group 1 is set) and mkstemp gives the
+    # temporary files of store, `<entry stem>.<random>.tmp`: all clear deletes
+    _NAMES = re.compile(r"[0-9a-f]{64}-[0-9a-f]{16}\.(?:(json)|[a-z0-9_]+\.tmp)")
+
     def load(self, g: Graph, cfg) -> dict | None:
         """The stage dict stored for (g, cfg), or None if there is no usable entry."""
         try:
@@ -83,14 +91,15 @@ class SolveCache:
             raise
 
     def clear(self) -> int:
-        """Delete all cache entries, returning how many were removed."""
+        """Delete the cache's entries and leftover temporary files, returning
+        how many entries were removed. Files of other names are kept."""
         removed = 0
         if self.directory.is_dir():
-            for entry in self.directory.glob("*.json"):
-                entry.unlink()
-                removed += 1
-            for entry in self.directory.glob("*.tmp"):
-                entry.unlink()
+            for path in self.directory.iterdir():
+                name = self._NAMES.fullmatch(path.name)
+                if name:
+                    path.unlink()
+                    removed += name[1] is not None
         return removed
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from sumcol import bounds
 from sumcol import (
     BoundParams,
     BoundReport,
@@ -262,8 +263,9 @@ class TestPipeline:
         assert report.alpha_tilde_skipped == "enumeration-truncated"
         assert report.m == 2
 
-    def test_set_count_over_cap_skips_intersection_stage(self):
-        report = compute_bounds_pipeline(matching(3), PipelineConfig(mis_graph_cap=7))
+    def test_set_count_over_cap_skips_intersection_stage(self, monkeypatch):
+        monkeypatch.setattr(bounds, "MIS_GRAPH_CAP", 7)
+        report = compute_bounds_pipeline(matching(3))
         assert report.num_is == 8
         assert not report.num_is_truncated
         assert report.alpha_tilde is None

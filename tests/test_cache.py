@@ -37,6 +37,26 @@ class TestRoundTrip:
         assert again.cached
         assert report_fields(again) == report_fields(fresh)
 
+    def test_a_hit_times_only_the_formulas(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        fresh = compute_bounds_pipeline(g, cache=cache)
+        again = compute_bounds_pipeline(g, cache=cache)
+        assert again.cached
+        assert set(fresh.timings) == {"alpha", "enumeration", "alpha_tilde", "formulas"}
+        assert set(again.timings) == {"formulas"}
+        assert dataclasses.replace(again, cached=False, timings=fresh.timings) == fresh
+
+    def test_cold_solves_write_identical_entries(self, tmp_path):
+        g = queen_graph(7, 7)
+        entries = []
+        for name in ("first", "second"):
+            compute_bounds_pipeline(g, cache=SolveCache(tmp_path / name))
+            (entry,) = (tmp_path / name).iterdir()
+            entries.append((entry.name, entry.read_bytes()))
+        assert entries[0] == entries[1]
+        assert b"timings" not in entries[0][1]
+
     def test_skip_markers_survive_the_round_trip(self, tmp_path):
         cache = SolveCache(tmp_path)
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)], name="matching")
@@ -76,7 +96,6 @@ class TestKeying:
         "enum_time_limit": 59.0,
         "alpha_tilde_time_limit": 59.0,
         "count_cap": 4999,
-        "mis_graph_cap": 4999,
         "alpha_override": 5,
     }
 
@@ -146,8 +165,25 @@ class TestRobustness:
         entry.write_text(json.dumps(obj), encoding="utf-8")
         report = compute_bounds_pipeline(g, cache=cache)
         assert not report.cached
-        assert CACHE_SCHEMA == "sumcol-cache-v5"
+        assert CACHE_SCHEMA == "sumcol-cache-v6"
         assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
+        assert compute_bounds_pipeline(g, cache=cache).cached
+
+    def test_v5_entry_with_timings_is_a_miss_and_is_overwritten(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        fresh = compute_bounds_pipeline(g, cache=cache)
+        entry = next(tmp_path.glob("*.json"))
+        obj = json.loads(entry.read_text(encoding="utf-8"))
+        v5 = {**obj, "schema": "sumcol-cache-v5",
+              "timings": {"alpha": 0.001, "enumeration": 0.002, "alpha_tilde": 0.003}}
+        entry.write_text(json.dumps(v5), encoding="utf-8")
+        report = compute_bounds_pipeline(g, cache=cache)
+        assert not report.cached
+        assert report_fields(report) == report_fields(fresh)
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        assert stored.keys() == {"schema", *STAGE_FIELDS}
+        assert stored == obj
         assert compute_bounds_pipeline(g, cache=cache).cached
 
     def test_v4_entry_from_a_stopped_alpha_is_a_miss_and_is_overwritten(self, tmp_path):
@@ -307,7 +343,7 @@ class TestWrites:
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)
         cfg = PipelineConfig()
-        stages = _solve_stages(g, cfg)
+        stages, _ = _solve_stages(g, cfg)
         cache.store(g, cfg, stages)
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
         assert cache.load(g, cfg) == stages
@@ -330,7 +366,7 @@ class TestWrites:
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)
         cfg = PipelineConfig()
-        stages = {**_solve_stages(g, cfg), "timings": {"pad": list(range(2000))}}
+        stages = {**_solve_stages(g, cfg)[0], "pad": list(range(2000))}
         errors = []
 
         def writer():
@@ -368,9 +404,21 @@ class TestClear:
     def test_clear_removes_leftover_tmp_files(self, tmp_path):
         cache = SolveCache(tmp_path)
         compute_bounds_pipeline(queen_graph(5, 5), cache=cache)
-        (tmp_path / "abc.x1y2.tmp").write_text("", encoding="utf-8")
+        entry = next(tmp_path.glob("*.json"))
+        (tmp_path / f"{entry.stem}.x1y2ab_9.tmp").write_text("", encoding="utf-8")
         assert cache.clear() == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_clear_keeps_files_the_cache_did_not_write(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        compute_bounds_pipeline(queen_graph(5, 5), cache=cache)
+        foreign = {"notes.json": "{}", "notes.tmp": "draft", "package.json": "{}"}
+        for name, text in foreign.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert cache.clear() == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
+        assert all((tmp_path / name).read_text(encoding="utf-8") == text
+                   for name, text in foreign.items())
 
     def test_clear_on_absent_directory(self, tmp_path):
         assert SolveCache(tmp_path / "nothing").clear() == 0
