@@ -82,9 +82,15 @@ def _build_config(args, *, count_cap: int | None = None,
 
 
 def _make_cache(args) -> SolveCache | None:
+    """The solve cache, or None under --no-cache. Its directory is made now,
+    so an unusable path raises OSError before any solve, not after it."""
     if getattr(args, "no_cache", False):
         return None
     directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cache directory {directory}: {exc.strerror or exc}") from None
     return SolveCache(directory)
 
 
@@ -146,7 +152,11 @@ def cmd_bound(args) -> int:
     if args.chi_lb is not None and len(args.instance) > 1:
         print("sumcol bound: --chi-lb applies to a single instance", file=sys.stderr)
         return EXIT_USAGE
-    cache = _make_cache(args)
+    try:
+        cache = _make_cache(args)
+    except OSError as exc:
+        print(f"sumcol bound: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     reports = []
     for spec in args.instance:
         try:
@@ -207,7 +217,11 @@ def cmd_table(args) -> int:
     except ValueError as exc:
         print(f"sumcol table: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cache = _make_cache(args)
+    try:
+        cache = _make_cache(args)
+    except OSError as exc:
+        print(f"sumcol table: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     results = []
     for row in rows:
         g = None

@@ -151,8 +151,12 @@ def write_dimacs(g: Graph, comment: str | None = None) -> str:
 
 
 def read_dimacs(path) -> Graph:
-    """Read a .col file; the graph name is the file stem."""
+    """Read a .col file; the graph name is the file stem.
+
+    Bytes that are not UTF-8 decode to U+FFFD: ignored in a comment, they
+    make a problem or edge line malformed, so parse_dimacs raises DimacsError.
+    """
     from pathlib import Path
 
     p = Path(path)
-    return parse_dimacs(p.read_text(), name=p.stem)
+    return parse_dimacs(p.read_text(encoding="utf-8", errors="replace"), name=p.stem)

@@ -148,16 +148,16 @@ def max_independent_set(mg: MisGraph, budget: Budget | None = None) -> AlphaResu
         try:
             tiling = _exact_cover(mg, _Deadline(budget.time_limit, stride=16))
         except _Timeout:
-            return AlphaResult(cap, False, time.monotonic() - start, "cap")
+            return AlphaResult(cap, False, "cap")
         if tiling is not None:
-            return AlphaResult(cap, True, time.monotonic() - start, "exact-cover", tiling)
+            return AlphaResult(cap, True, "exact-cover", tiling)
         cap -= 1
     left = budget.time_limit - (time.monotonic() - start)
     if left > 0:
         res = stable.max_independent_set(mg.to_graph(), replace(budget, time_limit=left), cap)
         if res.exact or res.value <= cap:
-            return replace(res, elapsed=time.monotonic() - start)
-    return AlphaResult(cap, False, time.monotonic() - start, "cap")
+            return res
+    return AlphaResult(cap, False, "cap")
 
 
 def alpha_tilde(mg: MisGraph, budget: Budget | None = None) -> AlphaResult:

@@ -53,12 +53,12 @@ class AlphaResult:
     method is one of "exact-bnb", "bnb-bound" (the bound a search stopped by
     its time limit held), "provided", or, for alpha~ on an intersection
     graph, "exact-cover" (an exact cover of the sets' union reached the cap)
-    and "cap" (the cap bounds a stopped search).
+    and "cap" (the cap bounds a stopped search). It holds what the search
+    found, not how long it took: the pipeline times its stages itself.
     """
 
     value: int
     exact: bool
-    elapsed: float
     method: str
     witness: tuple[int, ...] | None = None
 
@@ -70,14 +70,13 @@ class EnumerationResult:
     sets holds 0-based sorted vertex tuples, canonically sorted, or is
     empty when count passed the caller's `keep` and the sets were only
     counted. When truncated is True the count cap or time limit was hit and
-    sets/count cover only what was found.
+    sets/count cover only what was found. The size is the caller's, and
+    like AlphaResult it holds no timing.
     """
 
-    target_size: int
     sets: tuple[tuple[int, ...], ...]
     count: int
     truncated: bool
-    elapsed: float
 
 
 class _Timeout(Exception):
@@ -310,16 +309,14 @@ def max_independent_set(
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
     budget = budget or Budget()
-    start = time.monotonic()
     search = _CliqueSearch(g.complement().adj, budget.time_limit)
     try:
         witness = search.maximise(stop)
     except _Timeout:
-        return AlphaResult(search.bound, False, time.monotonic() - start, "bnb-bound")
+        return AlphaResult(search.bound, False, "bnb-bound")
     return AlphaResult(
         value=len(witness),
         exact=True,
-        elapsed=time.monotonic() - start,
         method="exact-bnb",
         witness=tuple(witness),
     )
@@ -340,13 +337,10 @@ def enumerate_maximum_independent_sets(
     if not 1 <= target_size <= g.n:
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")
     budget = budget or Budget()
-    start = time.monotonic()
     search = _CliqueSearch(g.complement().adj, budget.time_limit)
     sets, count, truncated = search.collect(target_size, budget.count_cap, keep)
     return EnumerationResult(
-        target_size=target_size,
         sets=() if sets is None else tuple(sets),
         count=count,
         truncated=truncated,
-        elapsed=time.monotonic() - start,
     )

@@ -107,6 +107,25 @@ class TestBound:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_utf8_edge_line_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.col"
+        path.write_bytes(b"p edge 2 1\ne 1 \xff2\n")
+        code, _, err = run(capsys, "bound", str(path), "--no-cache")
+        assert code == 2
+        assert err.startswith("sumcol bound: line 2: malformed edge line")
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_cache_dir_fails_before_solving(self, capsys, tmp_path, below):
+        # a file where the directory should be, or a path through a file
+        blocker = tmp_path / "x"
+        blocker.touch()
+        directory = blocker / below  # an empty `below` leaves the file itself
+        code, out, err = run(capsys, "bound", "queen5_5", "--cache-dir", str(directory))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"sumcol bound: cache directory {directory}: ")
+        assert "Traceback" not in err
+
     def test_alpha_rejected_for_multiple_instances(self, capsys):
         code, _, err = run(
             capsys, "bound", "queen5_5", "queen6_6", "--alpha", "5", "--no-cache"
@@ -241,6 +260,22 @@ class TestTable:
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args)
         assert (code1, out1) == (code2, out2)
+
+    def test_non_utf8_instance_file_is_a_parse_error(self, capsys, tmp_path):
+        (tmp_path / "DSJC125.1.col").write_bytes(b"p edge 2 1\ne 1 \xff2\n")
+        code, _, err = run(
+            capsys, "table", "DSJC125.1", "--instances-dir", str(tmp_path), "--no-cache"
+        )
+        assert code == 2
+        assert err.startswith("sumcol table: DSJC125.1: line 2: malformed edge line")
+
+    def test_unusable_cache_dir_fails_before_solving(self, capsys, tmp_path):
+        blocker = tmp_path / "x"
+        blocker.touch()
+        code, out, err = run(capsys, "table", "myciel3", "--cache-dir", str(blocker))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"sumcol table: cache directory {blocker}: ")
 
     def test_row_status_classifies_incomplete(self):
         assert cli._row_status([]) == "ok"

@@ -108,6 +108,20 @@ def test_read_dimacs_names_by_stem(tmp_path):
     assert g.edge_count == 3
 
 
+def test_read_dimacs_ignores_non_utf8_comments(tmp_path):
+    path = tmp_path / "latin1.col"
+    path.write_bytes("c caf\u00e9 r\u00e9seau\n".encode("latin-1") + TRIANGLE.encode())
+    g = read_dimacs(path)
+    assert g == parse_dimacs(TRIANGLE, name="latin1")
+
+
+def test_read_dimacs_non_utf8_edge_line_is_malformed(tmp_path):
+    path = tmp_path / "bad.col"
+    path.write_bytes(b"p edge 2 1\ne 1 \xff2\n")
+    with pytest.raises(DimacsError, match="line 2: malformed edge line"):
+        read_dimacs(path)
+
+
 def test_empty_graph_and_isolated_vertices():
     g = parse_dimacs("p edge 4 0\n")
     assert g.n == 4

@@ -13,6 +13,7 @@ from bruteforce import (
 )
 from sumcol import queen_graph, stable
 from sumcol.graph import Graph
+from sumcol.misgraph import build_mis_graph
 from sumcol.stable import (
     Budget,
     _CliqueSearch,
@@ -317,3 +318,44 @@ class TestRelabel:
             search = _CliqueSearch(list(g.adj), 1.0)
             assert sorted(search.order) == list(range(n))
             assert search.adj == per_bit_relabel(g.adj, search.order)
+
+
+def gnp90_complement():
+    return random_graph(90, 0.3, random.Random(2024)).complement().adj
+
+
+def queen8_8_complement():
+    return queen_graph(8, 8).complement().adj
+
+
+def queen9_9_disjointness():
+    """The graph alpha~'s clique search runs on for queen9_9: its maximum
+    independent sets, adjacent when disjoint."""
+    sets = enumerate_maximum_independent_sets(queen_graph(9, 9), 9).sets
+    return build_mis_graph(sets).to_graph().complement().adj
+
+
+class TestSearchTreePins:
+    """The kernel's node counts on fixed inputs.
+
+    `deadline.ticks` counts the nodes a search expanded, so these pins show
+    that a change meant to make each node cheaper leaves the search tree as
+    it was. A change to the kernel's order or pruning moves them; record
+    each change of a pin, with its reason, in CHANGES.md.
+    """
+
+    # target None runs maximise, whose result is the clique size; otherwise
+    # collect, whose result is the count of cliques of that size
+    @pytest.mark.parametrize("adj, target, nodes, result", [
+        (queen9_9_disjointness, None, 24052, 7),
+        (queen8_8_complement, 8, 1137, 92),
+        (gnp90_complement, None, 735, 15),
+        (gnp90_complement, 15, 1100, 3),
+    ], ids=["queen9_9-alpha-tilde", "queen8_8-collect", "gnp90-maximise", "gnp90-collect"])
+    def test_node_count(self, adj, target, nodes, result):
+        search = _CliqueSearch(adj(), 60.0)
+        if target is None:
+            assert len(search.maximise()) == result
+        else:
+            assert search.collect(target, 5000)[1:] == (result, False)
+        assert search.deadline.ticks == nodes
