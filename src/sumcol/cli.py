@@ -70,6 +70,17 @@ def _parse_time_limits(pairs: list[str]) -> dict[str, float]:
     return limits
 
 
+def _count_cap(raw: str) -> int:
+    """argparse type of --count-cap: a positive int, else a usage error."""
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(f"count_cap must be positive, got {cap}")
+    return cap
+
+
 def _build_config(args, *, count_cap: int | None = None,
                   known_chi_lb: int | None = None) -> PipelineConfig:
     limits = _parse_time_limits(args.time_limit)
@@ -337,7 +348,7 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--count-cap",
-        type=int,
+        type=_count_cap,
         default=PipelineConfig.count_cap,
         metavar="N",
         help="stop enumerating independent sets beyond N (default %(default)s)",
@@ -402,7 +413,12 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != EXIT_USAGE:  # --help and --version exit 0
+            raise
+        return EXIT_USAGE  # the parser has printed the usage error
     try:
         return args.func(args)
     except ValueError as exc:

@@ -8,7 +8,9 @@ for the branch and bound search built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from pathlib import Path
 
 
 class DimacsError(ValueError):
@@ -92,9 +94,14 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
     The stored edge count is the deduplicated count and may differ from the
     m printed on the p line.
     """
+    return _parse_lines(text.splitlines(), name)
+
+
+def _parse_lines(lines: Iterable[str], name: str) -> Graph:
+    """parse_dimacs over the lines of `text.splitlines()`, taken one at a time."""
     n = -1
     adj: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -153,10 +160,31 @@ def write_dimacs(g: Graph, comment: str | None = None) -> str:
 def read_dimacs(path) -> Graph:
     """Read a .col file; the graph name is the file stem.
 
-    Bytes that are not UTF-8 decode to U+FFFD: ignored in a comment, they
-    make a problem or edge line malformed, so parse_dimacs raises DimacsError.
+    The file is parsed a block at a time as it is read, so only the graph
+    is held, not the text; lines and their numbers are parse_dimacs's. Bytes
+    that are not UTF-8 decode to U+FFFD: ignored in a comment, they make a
+    problem or edge line malformed, so parsing raises DimacsError.
     """
-    from pathlib import Path
-
     p = Path(path)
-    return parse_dimacs(p.read_text(encoding="utf-8", errors="replace"), name=p.stem)
+    with p.open(encoding="utf-8", errors="replace") as f:
+        return _parse_lines(_read_lines(f), p.stem)
+
+
+def _read_lines(f) -> Iterator[str]:
+    """The lines of `f.read().splitlines()`, read 8192 characters at a time.
+
+    A text file in universal-newlines mode turns every line end into "\n";
+    splitlines also breaks at form feeds and the like. So the text up to
+    the last "\n" read splits into whole lines, the same as in the full
+    text, and only the rest waits for the next block.
+    """
+    pending: list[str] = []
+    while block := f.read(1 << 13):
+        cut = block.rfind("\n") + 1
+        if not cut:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        yield from "".join(pending).splitlines()
+        pending = [block[cut:]]
+    yield from "".join(pending).splitlines()

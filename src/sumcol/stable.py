@@ -4,6 +4,9 @@ search holds, and enumeration.
 An independent set of g is a clique of complement(g), so both the exact
 search and the enumeration run one branch and bound clique kernel
 (greedy coloring bound, Tomita-style) over complement adjacency bitmasks.
+A node colors its pool with one AND per vertex, against non-neighbour rows
+computed once, and records as a branch candidate only a vertex whose color
+can still beat the floor (the color bound of Tomita et al.'s MCS, 2010).
 It has two modes that differ only in the size a branch must be able to
 beat: "maximise" raises that floor with each incumbent, "collect" fixes it
 one below the target size and lists every clique of that size. Past a
@@ -117,8 +120,12 @@ class _CliqueSearch:
     Vertices are relabeled once into descending-degree order (index
     ascending on ties). Each node colors its candidates greedily and
     expands them in descending color, pruning once size + color <= floor:
-    a clique takes at most one vertex per color class. The modes differ
-    only in the floor:
+    a clique takes at most one vertex per color class. A vertex colored at
+    most floor - size still takes its place in its class, so later colors
+    do not change, but it is not recorded: the floor only rises, so it
+    would be pruned before it could branch. Coloring masks the candidates
+    left for a class with each member's non-neighbour row, `non`, which
+    excludes the member itself. The modes differ only in the floor:
 
     - maximise: the floor is the incumbent's size, seeded greedily and
       raised with each larger clique; the search ends once it reaches `stop`.
@@ -132,8 +139,9 @@ class _CliqueSearch:
     clique number bound it held, and collect returns what it found, marked
     truncated. The root expands its candidates in descending color, so
     every clique not yet searched when the search stops while expanding
-    root candidate i lies in order[:i + 1], whose coloring has colors[i]
-    classes; the bound is the larger of that and the incumbent's size.
+    root candidate i lies among order[:i + 1] and the unrecorded vertices,
+    whose colors are all at most colors[i]; the bound is the larger of
+    that and the incumbent's size.
     """
 
     def __init__(self, adj: Sequence[int], seconds: float):
@@ -145,6 +153,10 @@ class _CliqueSearch:
         bits, permute = f"0{n}b", itemgetter(*[n - 1 - v for v in reversed(order)])
         self.n = n
         self.adj = [int("".join(permute(format(adj[v], bits))), 2) for v in order]
+        # non[v] keeps what may share v's color class: neither v nor a
+        # neighbour; the n-bit form ANDs faster than the negative ~(row | 1 << v)
+        full = (1 << n) - 1
+        self.non = [full ^ (row | 1 << v) for v, row in enumerate(self.adj)]
         self.order = order
         _allow_depth(n)
         self.stack: list[int] = []
@@ -213,10 +225,13 @@ class _CliqueSearch:
         if size >= self.leaf_size:
             self._leaves(pool)
             return
-        adj = self.adj
+        adj, non = self.adj, self.non
         order: list[int] = []
         colors: list[int] = []
         color = 0
+        # a vertex colored at most floor - size is pruned before it could
+        # branch, and the floor only rises: color it, but do not record it
+        skip = self.floor - size
         rest = pool
         while rest:
             color += 1
@@ -224,10 +239,10 @@ class _CliqueSearch:
             while avail:
                 b = avail & -avail
                 v = b.bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                avail &= ~adj[v]
-                avail ^= b
+                if color > skip:
+                    order.append(v)
+                    colors.append(color)
+                avail &= non[v]
                 rest ^= b
         stack = self.stack
         try:

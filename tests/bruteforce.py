@@ -2,7 +2,9 @@
 
 Deliberately written with different algorithms than the package (subset
 sweeps and direct backtracking instead of branch and bound) so agreement
-is meaningful evidence of correctness.
+is meaningful evidence of correctness. The one exception,
+reference_clique_search, spells out the package's own clique kernel in its
+plainest form, so that a faster kernel can be checked node for node.
 """
 
 from __future__ import annotations
@@ -182,3 +184,101 @@ def queens_row_by_row_count(rows: int, cols: int) -> int:
 
     rec(0, 0, 0, 0)
     return count
+
+
+def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None):
+    """The clique kernel's search, written plainly, and its node count.
+
+    It expands the same tree as stable._CliqueSearch: the same relabeling
+    and greedy seed, the same greedy coloring of every node's pool, and the
+    same leaves in collect mode. Its coloring records every vertex, and the
+    branching loop prunes each one by its color, so a kernel that records
+    fewer candidates must still agree with it node for node. With target
+    None it runs maximise and returns the clique, sorted, in the original
+    labels; otherwise collect, returning (sets or None, count, truncated).
+    """
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    pos = {v: p for p, v in enumerate(order)}
+    rows = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
+    state = {"nodes": 0, "count": 0, "found": [], "stack": []}
+    if target is None:
+        best = []
+        pool = (1 << n) - 1
+        while pool:
+            v = (pool & -pool).bit_length() - 1
+            best.append(v)
+            pool &= rows[v]
+        floor, leaf_size, stop = len(best), n, n if stop is None else stop
+    else:
+        floor, leaf_size, keep = target - 1, target - 2, cap if keep is None else keep
+
+    class Done(Exception):
+        pass
+
+    def leaves(pool):
+        stack = state["stack"]
+        heads = mask_to_tuple(pool)
+        if len(stack) == floor:
+            cliques = [(v,) for v in heads]
+        else:
+            cliques = [(u, v) for u in heads for v in heads if v > u and rows[u] >> v & 1]
+        state["count"] += len(cliques)
+        if state["found"] is not None:
+            if min(state["count"], cap) > keep:
+                state["found"] = None
+            else:
+                state["found"].extend(tuple(stack) + c for c in cliques)
+                del state["found"][cap:]
+        if state["count"] > cap:
+            state["count"] = cap
+            raise Done
+
+    def expand(size, pool):
+        nonlocal floor, best
+        state["nodes"] += 1
+        if size >= leaf_size:
+            leaves(pool)
+            return
+        vertices, colors = [], []
+        color, rest = 0, pool
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                vertices.append(v)
+                colors.append(color)
+                avail &= ~rows[v]
+                avail ^= b
+                rest ^= b
+        stack = state["stack"]
+        for v, c in zip(reversed(vertices), reversed(colors)):
+            if size + c <= floor:
+                return
+            stack.append(v)
+            child = pool & rows[v]
+            if child:
+                expand(size + 1, child)
+            elif size + 1 > floor:
+                floor = size + 1
+                best = stack.copy()
+                if floor >= stop:
+                    raise Done
+            stack.pop()
+            pool ^= 1 << v
+
+    truncated = False
+    if target is None and floor >= stop:
+        return sorted(order[v] for v in best), 0
+    try:
+        expand(0, (1 << n) - 1)
+    except Done:
+        truncated = True
+    if target is None:
+        return sorted(order[v] for v in best), state["nodes"]
+    found = state["found"]
+    if found is not None:
+        found = sorted(tuple(sorted(order[v] for v in c)) for c in found)
+    return (found, state["count"], truncated), state["nodes"]

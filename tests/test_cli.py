@@ -184,6 +184,23 @@ class TestBound:
         assert "count_cap" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["bound", "queen5_5"], ["table", "myciel3"]], ids=["bound", "table"]
+)
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_count_cap_is_a_usage_error_before_any_solve(
+    capsys, monkeypatch, command, cap
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --count-cap")
+
+    monkeypatch.setattr(cli, "compute_bounds_pipeline", no_solve)
+    code, out, err = run(capsys, *command, "--count-cap", cap, "--no-cache")
+    assert (code, out) == (1, "")
+    assert "usage: sumcol" in err
+    assert f"count_cap must be positive, got {cap}" in err
+
+
 class TestTable:
     def test_defective_row_passes_by_default(self, capsys, tmp_path):
         code, out, _ = run(

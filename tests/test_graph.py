@@ -1,5 +1,8 @@
 """Graph construction and DIMACS text round-trips."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from sumcol.graph import DimacsError, Graph, parse_dimacs, read_dimacs, write_dimacs
@@ -129,3 +132,78 @@ def test_empty_graph_and_isolated_vertices():
     assert list(g.edges()) == []
     text = write_dimacs(g)
     assert parse_dimacs(text).n == 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p edge 3 2\ne 1 2\x0ce 2 3\n",
+        "p edge 3 2\r\ne 1 2\x0b\x1c\x1d\x1e\x85\u2028\u2029e 2 3\r",
+        "c form feed\x0c\np edge 3 1\n\x0c\ne 1 3",
+        "p edge 2 1\re 1 3\r",
+        "p edge 3 1\n\x0c\ne 1 9\n",
+        "p edge 3 1\r\re 1\x0ce 2 2\n",
+    ],
+)
+def test_read_dimacs_splits_lines_as_parse_dimacs(tmp_path, text):
+    assert_reads_as_parsed(tmp_path / "g.col", text)
+
+
+def assert_reads_as_parsed(path, text):
+    """read_dimacs on `text` saved at `path` gives parse_dimacs's graph or
+    error; returns the error's line number, or None."""
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = parse_dimacs(text, name=path.stem)
+    except DimacsError as exc:
+        with pytest.raises(DimacsError) as exc_info:
+            read_dimacs(path)
+        assert str(exc_info.value) == str(exc)
+        return exc.line_no
+    assert read_dimacs(path) == expected
+    return None
+
+
+def test_read_dimacs_across_read_blocks(tmp_path):
+    # many blocks of the reader, line breaks of every kind at random places
+    # (a "\r\n" or a character split between blocks too), and one bad line
+    # at the end whose number must come out the same
+    rng = random.Random(5)
+    breaks = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\r\r\n\n"]
+    n = 60
+    lines = [f"p edge {n} 0"]
+    for _ in range(6000):
+        if rng.random() < 0.1:
+            # now and then a comment longer than a block, so a block holds no "\n"
+            lines.append("c " + "\u00e9" * (9000 if rng.random() < 0.02 else rng.randint(0, 300)))
+        else:
+            u, v = rng.sample(range(1, n + 1), 2)
+            lines.append(f"e {u} {v}")
+    good = "".join(line + rng.choice(breaks) for line in lines)
+    assert len(good.encode("utf-8")) > 8 * 8192
+    assert assert_reads_as_parsed(tmp_path / "good.col", good) is None
+    assert assert_reads_as_parsed(tmp_path / "bad.col", good + "e 1 x\n") > len(lines)
+
+
+def test_read_dimacs_holds_the_graph_not_the_text(tmp_path):
+    # about 2 MiB, most of it in long comment lines: tracing every line's
+    # allocations costs far more per line than per byte
+    n = 300
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u * v) % 9 < 1]
+    comment = "c " + "x" * 254 + "\n"
+    path = tmp_path / "big.col"
+    path.write_text(
+        comment * 8000 + f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    )
+    size = path.stat().st_size
+    assert size > 2 << 20
+    tracemalloc.start()
+    try:
+        g = read_dimacs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == len(edges)
+    # the graph's rows take a few KiB; the text or its lines held at once
+    # would take more than the file's size
+    assert peak < size / 8

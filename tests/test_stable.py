@@ -10,6 +10,7 @@ from bruteforce import (
     degree_rule_alpha_bar,
     greedy_coloring_alpha_bar,
     random_graph,
+    reference_clique_search,
 )
 from sumcol import queen_graph, stable
 from sumcol.graph import Graph
@@ -171,6 +172,55 @@ class TestStoppedSearchBound:
         assert below_greedy > 0
 
 
+class TestStoppedCollect:
+    def test_every_stop_lists_a_part_of_the_full_listing(self, monkeypatch):
+        rng = random.Random(12)
+        stops = 0
+        for _ in range(60):
+            g = random_graph(rng.randint(8, 18), rng.uniform(0.1, 0.9), rng)
+            alpha, _ = brute_alpha_and_sets(g)
+            for size in {alpha, max(alpha - 1, 1)}:
+                counter = _StopAt()
+                monkeypatch.setattr(stable, "_Deadline", lambda seconds: counter)
+                full = enumerate_maximum_independent_sets(g, size)
+                assert not full.truncated and full.count == count_sets_of_size(g, size)
+                for stop in range(1, counter.ticks + 1):
+                    monkeypatch.setattr(stable, "_Deadline", lambda seconds: _StopAt(stop))
+                    res = enumerate_maximum_independent_sets(g, size)
+                    assert res.truncated
+                    assert len(res.sets) == res.count <= full.count
+                    assert set(res.sets) <= set(full.sets)
+                    assert all(len(c) == size and is_independent(g, c) for c in res.sets)
+                    stops += 1
+        assert stops > 300
+
+
+class TestSameTreeAsTheReference:
+    """The kernel against tests/bruteforce.py's plain kernel, which colors
+    the same way but records every vertex: same results, same node counts."""
+
+    def test_maximise_and_collect_match_node_for_node(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            g = random_graph(rng.randint(8, 40), rng.uniform(0.1, 0.9), rng)
+            adj = g.complement().adj
+            omega = len(reference_clique_search(adj)[0])
+            for stop in (None, omega, omega - 1):
+                search = _CliqueSearch(adj, 60.0)
+                got = search.maximise(stop)
+                assert (got, search.deadline.ticks) == reference_clique_search(adj, stop=stop)
+            for target in {omega, max(omega - 1, 1)}:
+                (_, count, _), _ = reference_clique_search(adj, target)
+                for cap, keep in [
+                    (5000, None), (5000, count - 1), (5000, count + 1),
+                    (max(count // 2, 1), None), (max(count // 2, 1), 0),
+                ]:
+                    search = _CliqueSearch(adj, 60.0)
+                    got = search.collect(target, cap, keep)
+                    expected = reference_clique_search(adj, target, cap=cap, keep=keep)
+                    assert (got, search.deadline.ticks) == expected, (target, cap, keep)
+
+
 class TestEnumeration:
     def test_counts_match_brute_force_on_random_graphs(self):
         rng = random.Random(99)
@@ -328,11 +378,19 @@ def queen8_8_complement():
     return queen_graph(8, 8).complement().adj
 
 
-def queen9_9_disjointness():
-    """The graph alpha~'s clique search runs on for queen9_9: its maximum
+def queen_disjointness(k):
+    """The graph alpha~'s clique search runs on for queen k_k: its maximum
     independent sets, adjacent when disjoint."""
-    sets = enumerate_maximum_independent_sets(queen_graph(9, 9), 9).sets
+    sets = enumerate_maximum_independent_sets(queen_graph(k, k), k).sets
     return build_mis_graph(sets).to_graph().complement().adj
+
+
+def queen9_9_disjointness():
+    return queen_disjointness(9)
+
+
+def queen10_10_disjointness():
+    return queen_disjointness(10)
 
 
 class TestSearchTreePins:
@@ -351,7 +409,11 @@ class TestSearchTreePins:
         (queen8_8_complement, 8, 1137, 92),
         (gnp90_complement, None, 735, 15),
         (gnp90_complement, 15, 1100, 3),
-    ], ids=["queen9_9-alpha-tilde", "queen8_8-collect", "gnp90-maximise", "gnp90-collect"])
+        pytest.param(queen10_10_disjointness, None, 432144, 8, marks=pytest.mark.long),
+    ], ids=[
+        "queen9_9-alpha-tilde", "queen8_8-collect", "gnp90-maximise", "gnp90-collect",
+        "queen10_10-alpha-tilde",
+    ])
     def test_node_count(self, adj, target, nodes, result):
         search = _CliqueSearch(adj(), 60.0)
         if target is None:
