@@ -201,7 +201,7 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     pos = {v: p for p, v in enumerate(order)}
     rows = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
-    state = {"nodes": 0, "count": 0, "found": [], "stack": []}
+    nodes, count, found, stack = 0, 0, [], []
     if target is None:
         best = []
         pool = (1 << n) - 1
@@ -217,26 +217,26 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
         pass
 
     def leaves(pool):
-        stack = state["stack"]
+        nonlocal count, found
         heads = mask_to_tuple(pool)
         if len(stack) == floor:
             cliques = [(v,) for v in heads]
         else:
             cliques = [(u, v) for u in heads for v in heads if v > u and rows[u] >> v & 1]
-        state["count"] += len(cliques)
-        if state["found"] is not None:
-            if min(state["count"], cap) > keep:
-                state["found"] = None
+        count += len(cliques)
+        if found is not None:
+            if min(count, cap) > keep:
+                found = None
             else:
-                state["found"].extend(tuple(stack) + c for c in cliques)
-                del state["found"][cap:]
-        if state["count"] > cap:
-            state["count"] = cap
+                found.extend(tuple(stack) + c for c in cliques)
+                del found[cap:]
+        if count > cap:
+            count = cap
             raise Done
 
     def expand(size, pool):
-        nonlocal floor, best
-        state["nodes"] += 1
+        nonlocal floor, best, nodes
+        nodes += 1
         if size >= leaf_size:
             leaves(pool)
             return
@@ -253,7 +253,6 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
                 avail &= ~rows[v]
                 avail ^= b
                 rest ^= b
-        stack = state["stack"]
         for v, c in zip(reversed(vertices), reversed(colors)):
             if size + c <= floor:
                 return
@@ -277,8 +276,7 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
     except Done:
         truncated = True
     if target is None:
-        return sorted(order[v] for v in best), state["nodes"]
-    found = state["found"]
+        return sorted(order[v] for v in best), nodes
     if found is not None:
         found = sorted(tuple(sorted(order[v] for v in c)) for c in found)
-    return (found, state["count"], truncated), state["nodes"]
+    return (found, count, truncated), nodes
