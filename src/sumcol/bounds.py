@@ -146,7 +146,7 @@ MIS_GRAPH_CAP = 5000
 
 @dataclass
 class PipelineConfig:
-    """Stage budgets and overrides for compute_bounds_pipeline."""
+    """Stage time limits, the count cap and overrides for compute_bounds_pipeline."""
 
     alpha_time_limit: float = 60.0
     enum_time_limit: float = 60.0
@@ -265,7 +265,7 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
         timings = {"alpha": 0.0}
     else:
         start = time.monotonic()
-        alpha = max_independent_set(g, Budget(cfg.alpha_time_limit, cfg.count_cap))
+        alpha = max_independent_set(g, cfg.alpha_time_limit)
         timings = {"alpha": time.monotonic() - start}
     stages = {
         "alpha_bar": alpha.value,
@@ -302,7 +302,7 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
     else:
         mg = build_mis_graph(enum.sets)
         start = time.monotonic()
-        tilde = _alpha_tilde(mg, Budget(cfg.alpha_tilde_time_limit, cfg.count_cap))
+        tilde = _alpha_tilde(mg, cfg.alpha_tilde_time_limit)
         timings["alpha_tilde"] = time.monotonic() - start
         stages["alpha_tilde"] = tilde.value
         stages["alpha_tilde_exact"] = tilde.exact
@@ -326,6 +326,9 @@ def compute_bounds_pipeline(
     cfg = config or PipelineConfig()
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
+    # chi(G) <= n, so no valid lower bound lies past n: reject it before any solve
+    if cfg.known_chi_lb is not None and not 1 <= cfg.known_chi_lb <= g.n:
+        raise ValueError(f"known_chi_lb {cfg.known_chi_lb} out of range 1..{g.n}")
 
     stages = cache.load(g, cfg) if cache is not None else None
     cached = stages is not None and _is_stage_record(stages, g.n)

@@ -344,7 +344,7 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="STAGE=SECONDS",
-        help="per-stage solver budget (alpha, enum, alpha-tilde, or all); repeatable",
+        help="per-stage time limit (alpha, enum, alpha-tilde, or all); repeatable",
     )
     p.add_argument(
         "--count-cap",

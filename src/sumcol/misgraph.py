@@ -16,11 +16,11 @@ ends as soon as it reaches the cap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import stable
 from .graph import Graph
-from .stable import AlphaResult, Budget, _allow_depth, _Deadline, _Timeout
+from .stable import AlphaResult, _allow_depth, _Deadline, _Timeout
 
 
 @dataclass(frozen=True)
@@ -127,45 +127,46 @@ def _exact_cover(mg: MisGraph, deadline: _Deadline) -> tuple[int, ...] | None:
     return tuple(sorted(chosen)) if found else None
 
 
-def max_independent_set(mg: MisGraph, budget: Budget | None = None) -> AlphaResult:
+def max_independent_set(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
     """alpha~ of the intersection graph, searched no further than its cap.
 
     cap = min(#sets, |union| // smallest set size) bounds alpha~ from above.
     When every set has one size and cap sets of it would exactly cover the
     union, an exact-cover search runs first: a cover makes alpha~ = cap
     ("exact-cover"), and a proof that none exists lowers the cap by one. The
-    clique search then runs on the remaining budget and stops at the cap. A
-    search stopped by the budget reports min(the bound it held, cap),
+    clique search then runs on the time left and stops at the cap. A search
+    stopped by the time limit reports min(the bound it held, cap),
     exact=False (method "cap" when the cap is the smaller).
     """
-    budget = budget or Budget()
-    start = time.monotonic()
+    deadline = _Deadline(time_limit, stride=16)
     sizes = {len(member) for member in mg.members}
     smallest = min(sizes)
     union = len(set().union(*mg.members))
     cap = min(mg.n, union // smallest)
     if len(sizes) == 1 and cap * smallest == union:
         try:
-            tiling = _exact_cover(mg, _Deadline(budget.time_limit, stride=16))
+            tiling = _exact_cover(mg, deadline)
         except _Timeout:
             return AlphaResult(cap, False, "cap")
         if tiling is not None:
             return AlphaResult(cap, True, "exact-cover", tiling)
         cap -= 1
-    left = budget.time_limit - (time.monotonic() - start)
+    left = deadline.limit - time.monotonic()
     if left > 0:
-        res = stable.max_independent_set(mg.to_graph(), replace(budget, time_limit=left), cap)
+        res = stable.max_independent_set(mg.to_graph(), left, cap)
         if res.exact or res.value <= cap:
             return res
     return AlphaResult(cap, False, "cap")
 
 
-def alpha_tilde(mg: MisGraph, budget: Budget | None = None) -> AlphaResult:
+def alpha_tilde(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
     """Stability number of the intersection graph (exact, or upper bound on timeout).
 
     The pipeline's alpha~ stage; the whole search runs in max_independent_set.
+    It stays a function of its own because the benchmark tracer
+    (perfbench/spans.py) wraps both names and nests the search's span in it.
     """
-    return max_independent_set(mg, budget)
+    return max_independent_set(mg, time_limit)
 
 
 def compute_m(

@@ -17,7 +17,7 @@ on alpha that its root coloring held (see _CliqueSearch).
 
 Everything is single threaded and deterministic: vertices are relabeled
 by descending complement degree (index ascending on ties) and each node
-branches in descending color, so identical inputs and budgets produce
+branches in descending color, so identical inputs and limits produce
 identical results. Time limits are soft; they are checked between branch
 steps and only flip results to inexact/truncated, never change exact
 outputs.
@@ -36,14 +36,12 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class Budget:
-    """Soft limits for one solver stage."""
+    """The enumeration's soft limits: a time limit and a count cap."""
 
     time_limit: float = 60.0
     count_cap: int = 5000
 
     def __post_init__(self):
-        if not self.time_limit > 0:  # NaN too: no clock ever passes a NaN deadline
-            raise ValueError("time_limit must be positive")
         if self.count_cap <= 0:
             raise ValueError("count_cap must be positive")
 
@@ -96,6 +94,8 @@ class _Deadline:
     __slots__ = ("limit", "ticks", "stride")
 
     def __init__(self, seconds: float, stride: int = 2048):
+        if not seconds > 0:  # NaN too: no clock ever passes a NaN deadline
+            raise ValueError("time_limit must be positive")
         self.limit = time.monotonic() + seconds
         self.ticks = 0
         self.stride = stride
@@ -311,20 +311,19 @@ class _CliqueSearch:
 
 
 def max_independent_set(
-    g: Graph, budget: Budget | None = None, stop: int | None = None
+    g: Graph, time_limit: float = 60.0, stop: int | None = None
 ) -> AlphaResult:
     """Exact alpha(g) by branch and bound, or a safe upper bound on timeout.
 
-    On budget exhaustion the result carries exact=False and the bound the
-    stopped search held (method "bnb-bound"), never above the color count
-    of its root's greedy coloring, so value >= alpha(g) always holds. `stop`,
-    a proven upper bound on alpha(g), ends the search as soon as an
+    Past `time_limit` seconds the result carries exact=False and the bound
+    the stopped search held (method "bnb-bound"), never above the color
+    count of its root's greedy coloring, so value >= alpha(g) always holds.
+    `stop`, a proven upper bound on alpha(g), ends the search as soon as an
     independent set of that size is found.
     """
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
-    budget = budget or Budget()
-    search = _CliqueSearch(g.complement().adj, budget.time_limit)
+    search = _CliqueSearch(g.complement().adj, time_limit)
     try:
         witness = search.maximise(stop)
     except _Timeout:

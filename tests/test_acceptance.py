@@ -354,7 +354,7 @@ class TestCriterion7:
             p = rng.uniform(0.05, 0.95)
             g = random_graph(n, p, rng, name=f"r{k}")
             alpha, _ = brute_alpha_and_sets(g)
-            result = max_independent_set(g, Budget(time_limit=30.0))
+            result = max_independent_set(g, 30.0)
             assert result.exact, (k, n, p)
             assert result.value == alpha, (k, n, p)
 

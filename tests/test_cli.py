@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sumcol
-from sumcol import cli
+from sumcol import bounds, cli
 from sumcol.bounds import BoundReport, PipelineConfig
 
 TRIANGLE_COL = "c tiny triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -139,6 +139,29 @@ class TestBound:
         )
         assert code == 1
         assert "--chi-lb applies to a single instance" in err
+
+    @pytest.mark.parametrize("chi_lb", ["0", "26"])
+    def test_chi_lb_outside_1_to_n_is_rejected_before_any_solve(
+        self, capsys, monkeypatch, tmp_path, chi_lb
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting --chi-lb")
+
+        monkeypatch.setattr(bounds, "_solve_stages", no_solve)
+        cache_dir = tmp_path / "cache"
+        code, out, err = run(
+            capsys, "bound", "queen5_5", "--chi-lb", chi_lb, "--cache-dir", str(cache_dir)
+        )
+        assert (code, out) == (1, "")
+        assert f"known_chi_lb {chi_lb} out of range 1..25" in err
+        assert not any(cache_dir.iterdir())
+
+    def test_chi_lb_of_n_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "bound", "queen5_5", "--chi-lb", "25", "--no-cache", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["s_lower"] == 25
 
     def test_out_of_range_alpha_override(self, capsys):
         code, _, err = run(

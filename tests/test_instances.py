@@ -114,7 +114,7 @@ class TestSmallStability:
     def test_insertions_shadow_levels_dominate(self):
         g = insertions_graph(2, 3)
         assert g.n == 37
-        res = max_independent_set(g, Budget(time_limit=30.0))
+        res = max_independent_set(g, 30.0)
         assert res.exact
         assert res.value == 18
         enum = enumerate_maximum_independent_sets(g, res.value, Budget(time_limit=30.0))

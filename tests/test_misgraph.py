@@ -14,11 +14,7 @@ from bruteforce import (
 from sumcol import PipelineConfig, compute_bounds_pipeline, compare_report, get_row
 from sumcol.instances import queen_graph
 from sumcol.misgraph import MisGraph, alpha_tilde, build_mis_graph, compute_m
-from sumcol.stable import (
-    Budget,
-    enumerate_maximum_independent_sets,
-    max_independent_set,
-)
+from sumcol.stable import enumerate_maximum_independent_sets, max_independent_set
 
 
 def random_family(rng, count, universe, sizes):
@@ -98,7 +94,7 @@ class TestAlphaTildeAgainstBruteForce:
     """The stage (exact cover, then the capped clique search) against brute_alpha_tilde."""
 
     def check(self, family):
-        res = alpha_tilde(build_mis_graph(family), Budget(time_limit=30.0))
+        res = alpha_tilde(build_mis_graph(family), 30.0)
         assert res.exact, family
         assert res.value == brute_alpha_tilde(family), family
         return res
@@ -162,7 +158,7 @@ class TestAlphaTildeAgainstBruteForce:
 class TestAlphaTildeStops:
     def test_tiling_reaches_the_cap_within_a_short_budget(self):
         mg = build_mis_graph(queen_sets(11))
-        res = alpha_tilde(mg, Budget(time_limit=2.0))
+        res = alpha_tilde(mg, 2.0)
         assert (res.value, res.exact, res.method) == (11, True, "exact-cover")
         chosen = [set(mg.members[i]) for i in res.witness]
         assert len(chosen) == 11 and len(set().union(*chosen)) == 121
@@ -175,7 +171,7 @@ class TestAlphaTildeStops:
         sets = [s for s in queen_sets(10) if avoid not in s]
         mg = build_mis_graph(sets)
         assert mg.n == 724 if avoid is None else mg.n < 724
-        res = alpha_tilde(mg, Budget(time_limit=1e-3))
+        res = alpha_tilde(mg, 1e-3)
         assert not res.exact
         assert (res.value, res.method) == (cap, "cap")
         assert res.value < degree_rule_alpha_bar(mg.to_graph())
@@ -188,7 +184,7 @@ class TestAlphaTildeStops:
         gc.collect()
         gc.disable()
         try:
-            alpha_tilde(mg, Budget(time_limit=seconds))
+            alpha_tilde(mg, seconds)
             assert gc.collect() == 0
         finally:
             gc.enable()

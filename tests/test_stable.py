@@ -14,7 +14,7 @@ from bruteforce import (
 )
 from sumcol import queen_graph, stable
 from sumcol.graph import Graph
-from sumcol.misgraph import build_mis_graph
+from sumcol.misgraph import alpha_tilde, build_mis_graph
 from sumcol.stable import (
     Budget,
     _CliqueSearch,
@@ -50,14 +50,23 @@ def petersen():
 class TestBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Budget(time_limit=0)
-        with pytest.raises(ValueError):
             Budget(count_cap=0)
 
-    def test_nan_time_limit_is_rejected(self):
+    def test_every_search_rejects_a_bad_time_limit(self):
         # time.monotonic() > nan is always false: the search would never stop
-        with pytest.raises(ValueError, match="time_limit must be positive"):
-            Budget(time_limit=float("nan"))
+        g = path_graph(4)
+        tiling = build_mis_graph([(0, 1), (2, 3)])  # one size: exact cover first
+        mixed = build_mis_graph([(0, 1), (1, 2, 3)])  # mixed sizes: kernel only
+        for seconds in (0, -1.0, float("nan")):
+            searches = (
+                lambda: max_independent_set(g, seconds),
+                lambda: enumerate_maximum_independent_sets(g, 2, Budget(time_limit=seconds)),
+                lambda: alpha_tilde(tiling, seconds),
+                lambda: alpha_tilde(mixed, seconds),
+            )
+            for search in searches:
+                with pytest.raises(ValueError, match="time_limit must be positive"):
+                    search()
 
 
 class TestUpperBoundRules:
@@ -126,7 +135,7 @@ class TestMaxIndependentSet:
     def test_timeout_falls_back_to_the_smaller_upper_bound(self):
         rng = random.Random(3)
         g = random_graph(130, 0.15, rng)
-        res = max_independent_set(g, Budget(time_limit=1e-4))
+        res = max_independent_set(g, 1e-4)
         assert not res.exact
         assert res.method == "bnb-bound"
         assert res.value <= greedy_coloring_alpha_bar(g) < degree_rule_alpha_bar(g)

@@ -48,3 +48,8 @@ def test_every_target_resolves_and_alpha_tilde_nests_the_kernel(capsys):
     (tilde,) = [i for i, name in enumerate(names) if name == "misgraph.alpha_tilde"]
     children = [s.name for s in tracer.spans if s.parent == tilde]
     assert children == ["stable.alpha_mis_graph"]
+
+    # annotate reads the enumeration's count cap from its third argument
+    spans.annotate(tracer.spans)
+    (enum,) = [s for s in tracer.spans if s.name == "stable.enum"]
+    assert enum.info == {"sets": 10, "truncated": False, "cap_stop": False}
