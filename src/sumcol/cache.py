@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .graph import Graph
 
-CACHE_SCHEMA = "sumcol-cache-v6"
+CACHE_SCHEMA = "sumcol-cache-v7"
 
 
 def _graph_digest(g: Graph) -> str:

@@ -16,11 +16,11 @@ A maximise search stopped by its time limit still reports the upper bound
 on alpha that its root coloring held (see _CliqueSearch).
 
 Everything is single threaded and deterministic: vertices are relabeled
-by descending complement degree (index ascending on ties) and each node
-branches in descending color, so identical inputs and limits produce
-identical results. Time limits are soft; they are checked between branch
-steps and only flip results to inexact/truncated, never change exact
-outputs.
+into the smallest-last order of the clique graph (Matula and Beck, 1983,
+the initial order of MCS) and each node branches in descending color, so
+identical inputs and limits produce identical results. Time limits are
+soft; they are checked between branch steps and only flip results to
+inexact/truncated, never change exact outputs.
 """
 
 from __future__ import annotations
@@ -114,11 +114,64 @@ def _allow_depth(depth: int) -> None:
         sys.setrecursionlimit(needed)
 
 
+def _relabel(adj: Sequence[int], order: list[int]) -> list[int]:
+    """The rows of adj with vertex order[p] renamed p."""
+    # permute each row's binary string: new bit p is old bit order[p], and
+    # the string lists bit n - 1 first
+    n = len(adj)
+    bits, permute = f"0{n}b", itemgetter(*[n - 1 - v for v in reversed(order)])
+    return [int("".join(permute(format(adj[v], bits))), 2) for v in order]
+
+
+def _smallest_last(adj: Sequence[int]) -> list[int]:
+    """The vertices in smallest-last order (Matula and Beck, 1983).
+
+    The peel removes a vertex of least degree among those left and places
+    it last; ties go to the lower degree in the whole graph, then to the
+    higher index. Each vertex then has at most degeneracy(G) neighbours
+    before it. Vertices are ranked by (-degree, index) and each degree
+    bucket is a bitmask over ranks, so the tie rule takes the bucket's
+    highest bit, and the peel costs O(n + m) big-int operations.
+    """
+    n = len(adj)
+    by_rank = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    rows = _relabel(adj, by_rank)
+    degree = [row.bit_count() for row in rows]
+    buckets = [0] * n
+    for r, d in enumerate(degree):
+        buckets[d] |= 1 << r
+    left = (1 << n) - 1
+    peeled: list[int] = []
+    d = 0
+    for _ in range(n):
+        while not buckets[d]:
+            d += 1
+        r = buckets[d].bit_length() - 1
+        b = 1 << r
+        buckets[d] ^= b
+        left ^= b
+        peeled.append(r)
+        # each neighbour left moves one bucket down, so the least degree
+        # left is at least d - 1
+        nbrs = rows[r] & left
+        while nbrs:
+            b = nbrs & -nbrs
+            nbrs ^= b
+            u = b.bit_length() - 1
+            du = degree[u]
+            buckets[du] ^= b
+            buckets[du - 1] |= b
+            degree[u] = du - 1
+        d = max(d - 1, 0)
+    return [by_rank[r] for r in reversed(peeled)]
+
+
 class _CliqueSearch:
     """Branch and bound over clique adjacency bitmasks (Tomita and Kameda).
 
-    Vertices are relabeled once into descending-degree order (index
-    ascending on ties). Each node colors its candidates greedily and
+    Vertices are relabeled once into smallest-last order (_smallest_last),
+    so the root's greedy coloring, which takes them in that order, uses at
+    most degeneracy + 1 colors. Each node colors its candidates greedily and
     expands them in descending color, pruning once size + color <= floor:
     a clique takes at most one vertex per color class. A vertex colored at
     most floor - size still takes its place in its class, so later colors
@@ -147,12 +200,9 @@ class _CliqueSearch:
     def __init__(self, adj: Sequence[int], seconds: float):
         self.deadline = _Deadline(seconds)
         n = len(adj)
-        order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-        # relabel a row by permuting its binary string: new bit p is old bit
-        # order[p], and the string lists bit n - 1 first
-        bits, permute = f"0{n}b", itemgetter(*[n - 1 - v for v in reversed(order)])
+        order = _smallest_last(adj)
         self.n = n
-        self.adj = [int("".join(permute(format(adj[v], bits))), 2) for v in order]
+        self.adj = _relabel(adj, order)
         # non[v] keeps what may share v's color class: neither v nor a
         # neighbour; the n-bit form ANDs faster than the negative ~(row | 1 << v)
         full = (1 << n) - 1
@@ -317,7 +367,8 @@ def max_independent_set(
 
     Past `time_limit` seconds the result carries exact=False and the bound
     the stopped search held (method "bnb-bound"), never above the color
-    count of its root's greedy coloring, so value >= alpha(g) always holds.
+    count of its root's greedy coloring (at most the complement's
+    degeneracy + 1), so value >= alpha(g) always holds.
     `stop`, a proven upper bound on alpha(g), ends the search as soon as an
     independent set of that size is found.
     """

@@ -94,18 +94,54 @@ def degree_rule_alpha_bar(g: Graph) -> int:
     return max(k, 1)
 
 
+def smallest_last_order(adj) -> list[int]:
+    """The vertices of a graph given by adjacency rows in smallest-last order.
+
+    A plain O(n^2) peel: take, among the vertices left, one with the fewest
+    neighbours left (ties: fewer neighbours in the whole graph, then the
+    higher index), place it last, and repeat.
+    """
+    n = len(adj)
+    degree = [sum(adj[v] >> u & 1 for u in range(n)) for v in range(n)]
+    left_degree = degree.copy()
+    left = set(range(n))
+    peeled = []
+    while left:
+        v = min(left, key=lambda u: (left_degree[u], degree[u], -u))
+        left.remove(v)
+        peeled.append(v)
+        for u in left:
+            if adj[v] >> u & 1:
+                left_degree[u] -= 1
+    return peeled[::-1]
+
+
+def degeneracy(adj) -> int:
+    """Largest minimum degree over the induced subgraphs (2^n sweep)."""
+    n = len(adj)
+    if n > 16:
+        raise ValueError("brute force capped at n <= 16")
+    best = 0
+    for mask in range(1, 1 << n):
+        vertices = mask_to_tuple(mask)
+        best = max(best, min((adj[v] & mask).bit_count() for v in vertices))
+    return best
+
+
 def greedy_coloring_alpha_bar(g: Graph) -> int:
     """Upper bound on alpha(g) by greedy coloring of complement(g).
 
-    Vertices are colored in largest-complement-degree-first order (index
-    ascending on ties) with the smallest feasible color; the class count
-    bounds omega(complement) = alpha(g) from above. By Welsh and Powell
-    (Comput. J. 1967) it never exceeds degree_rule_alpha_bar.
+    Vertices are colored in the smallest-last order of the complement, as
+    the clique kernel orders them, with the smallest feasible color; the
+    class count bounds omega(complement) = alpha(g) from above. Each vertex
+    has at most d = degeneracy(complement) neighbours before it, so at most
+    d + 1 colors are used. That never exceeds degree_rule_alpha_bar: a
+    subgraph of minimum degree d has d + 1 vertices of degree at least d.
     """
     if g.n == 0:
         return 0
     comp = g.complement().adj
-    order = sorted(range(g.n), key=lambda v: (-comp[v].bit_count(), v))
+    order = smallest_last_order(comp)
     class_masks: list[int] = []
     for v in order:
         for i, mask in enumerate(class_masks):
@@ -190,15 +226,16 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
     """The clique kernel's search, written plainly, and its node count.
 
     It expands the same tree as stable._CliqueSearch: the same relabeling
-    and greedy seed, the same greedy coloring of every node's pool, and the
-    same leaves in collect mode. Its coloring records every vertex, and the
-    branching loop prunes each one by its color, so a kernel that records
-    fewer candidates must still agree with it node for node. With target
+    (into smallest_last_order) and greedy seed, the same greedy coloring of
+    every node's pool, and the same leaves in collect mode. Its coloring
+    records every vertex, and the branching loop prunes each one by its
+    color, so a kernel that records fewer candidates must still agree with
+    it node for node. With target
     None it runs maximise and returns the clique, sorted, in the original
     labels; otherwise collect, returning (sets or None, count, truncated).
     """
     n = len(adj)
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    order = smallest_last_order(adj)
     pos = {v: p for p, v in enumerate(order)}
     rows = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
     nodes, count, found, stack = 0, 0, [], []

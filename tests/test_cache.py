@@ -165,7 +165,7 @@ class TestRobustness:
         entry.write_text(json.dumps(obj), encoding="utf-8")
         report = compute_bounds_pipeline(g, cache=cache)
         assert not report.cached
-        assert CACHE_SCHEMA == "sumcol-cache-v6"
+        assert CACHE_SCHEMA == "sumcol-cache-v7"
         assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
         assert compute_bounds_pipeline(g, cache=cache).cached
 

@@ -7,17 +7,20 @@ import pytest
 from bruteforce import (
     brute_alpha_and_sets,
     count_sets_of_size,
+    degeneracy,
     degree_rule_alpha_bar,
     greedy_coloring_alpha_bar,
     random_graph,
     reference_clique_search,
+    smallest_last_order,
 )
-from sumcol import queen_graph, stable
+from sumcol import insertions_graph, queen_graph, stable
 from sumcol.graph import Graph
 from sumcol.misgraph import alpha_tilde, build_mis_graph
 from sumcol.stable import (
     Budget,
     _CliqueSearch,
+    _smallest_last,
     _Timeout,
     enumerate_maximum_independent_sets,
     max_independent_set,
@@ -161,7 +164,7 @@ class TestStoppedSearchBound:
     ):
         rng = random.Random(11)
         stops = below_greedy = 0
-        for _ in range(150):
+        for _ in range(300):
             g = random_graph(rng.randint(8, 18), rng.uniform(0.1, 0.9), rng)
             counter = _StopAt()
             monkeypatch.setattr(stable, "_Deadline", lambda seconds: counter)
@@ -369,6 +372,34 @@ def per_bit_relabel(adj, order):
     return rows
 
 
+class TestSmallestLastOrder:
+    def test_bucket_peel_matches_the_plain_peel(self):
+        rng = random.Random(31)
+        edge_cases = [
+            complete_graph(1), Graph.from_edges(7, []),
+            complete_graph(9), Graph.from_edges(8, [(1, 4), (4, 6), (1, 6)]),
+            Graph.from_edges(10, [(0, 9)]),
+        ]
+        graphs = edge_cases + [
+            random_graph(rng.randint(1, 60), rng.uniform(0.02, 0.98), rng)
+            for _ in range(150)
+        ]
+        for g in graphs:
+            adj = list(g.adj)
+            assert _smallest_last(adj) == smallest_last_order(adj), adj
+
+    def test_no_vertex_has_more_than_degeneracy_neighbours_before_it(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            adj = random_graph(rng.randint(1, 12), rng.uniform(0.05, 0.95), rng).adj
+            order = _smallest_last(adj)
+            d = degeneracy(adj)
+            before = 0
+            for v in order:
+                assert (adj[v] & before).bit_count() <= d
+                before |= 1 << v
+
+
 class TestRelabel:
     def test_rows_match_a_per_bit_relabel(self):
         rng = random.Random(23)
@@ -385,6 +416,10 @@ def gnp90_complement():
 
 def queen8_8_complement():
     return queen_graph(8, 8).complement().adj
+
+
+def insertions4_3_complement():
+    return insertions_graph(4, 3).complement().adj
 
 
 def queen_disjointness(k):
@@ -414,14 +449,15 @@ class TestSearchTreePins:
     # target None runs maximise, whose result is the clique size; otherwise
     # collect, whose result is the count of cliques of that size
     @pytest.mark.parametrize("adj, target, nodes, result", [
-        (queen9_9_disjointness, None, 24052, 7),
-        (queen8_8_complement, 8, 1137, 92),
-        (gnp90_complement, None, 735, 15),
-        (gnp90_complement, 15, 1100, 3),
-        pytest.param(queen10_10_disjointness, None, 432144, 8, marks=pytest.mark.long),
+        (queen9_9_disjointness, None, 19007, 7),
+        (queen8_8_complement, 8, 1199, 92),
+        (gnp90_complement, None, 761, 15),
+        (gnp90_complement, 15, 970, 3),
+        (insertions4_3_complement, None, 187, 39),
+        pytest.param(queen10_10_disjointness, None, 338967, 8, marks=pytest.mark.long),
     ], ids=[
         "queen9_9-alpha-tilde", "queen8_8-collect", "gnp90-maximise", "gnp90-collect",
-        "queen10_10-alpha-tilde",
+        "4-Insertions_3-maximise", "queen10_10-alpha-tilde",
     ])
     def test_node_count(self, adj, target, nodes, result):
         search = _CliqueSearch(adj(), 60.0)
