@@ -12,6 +12,7 @@ from .bounds import (
     PipelineConfig,
     choose_s_lower,
     compute_bounds_pipeline,
+    compute_m,
     lb_chi,
     lbm_sigma,
     sigma_m,
@@ -28,7 +29,7 @@ from .instances import (
     mycielskian,
     queen_graph,
 )
-from .misgraph import MisGraph, alpha_tilde, build_mis_graph, compute_m
+from .misgraph import MisGraph, alpha_tilde, build_mis_graph
 from .partitions import (
     BoundParams,
     InfeasibleParamsError,

@@ -19,7 +19,7 @@ from typing import get_args, get_type_hints
 
 from .graph import Graph
 from .misgraph import alpha_tilde as _alpha_tilde
-from .misgraph import build_mis_graph, compute_m
+from .misgraph import build_mis_graph
 from .partitions import (
     BoundParams,
     InfeasibleParamsError,
@@ -120,6 +120,28 @@ def lb_chi(n: int, alpha_bar: int, m: int) -> int:
     return len(sigma_m0(n, alpha_bar, m)[1].parts)
 
 
+def compute_m(
+    n: int, alpha_bar: int, num_is: int | None = None, alpha_tilde_value: int | None = None
+) -> int:
+    """Cap on the number of parts equal to alpha_bar.
+
+    Always includes floor(n / alpha_bar); the number of maximum independent
+    sets and the intersection-graph stability number tighten it when known
+    (pass None for quantities that were skipped or truncated).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 1 <= alpha_bar <= n:
+        raise ValueError("alpha_bar must be in 1..n")
+    candidates = [n // alpha_bar]
+    for value in (num_is, alpha_tilde_value):
+        if value is not None:
+            if value < 1:
+                raise ValueError("known quantities must be >= 1")
+            candidates.append(value)
+    return min(candidates)
+
+
 def choose_s_lower(
     n: int, alpha_bar: int, known_chi_lb: int | None = None
 ) -> tuple[int, str]:
@@ -146,13 +168,13 @@ MIS_GRAPH_CAP = 5000
 
 @dataclass
 class PipelineConfig:
-    """Stage time limits, the count cap and overrides for compute_bounds_pipeline."""
+    """What the solver stages read: their time limits, the count cap and an
+    alpha override. The whole config keys the cache."""
 
     alpha_time_limit: float = 60.0
     enum_time_limit: float = 60.0
     alpha_tilde_time_limit: float = 60.0
     count_cap: int = 5000
-    known_chi_lb: int | None = None
     alpha_override: int | None = None
 
 
@@ -215,7 +237,7 @@ class BoundReport:
 
 
 # The solver stages' outcomes: what the cache stores, and all the formulas
-# read besides the graph and the config. A run's timings stay with its report.
+# read besides the graph and known_chi_lb. A run's timings stay with its report.
 STAGE_FIELDS = (
     "alpha_bar", "alpha_exact", "alpha_method", "num_is", "num_is_truncated",
     "enum_skipped", "alpha_tilde", "alpha_tilde_exact", "alpha_tilde_skipped",
@@ -310,25 +332,27 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
 
 
 def compute_bounds_pipeline(
-    g: Graph, config: PipelineConfig | None = None, cache=None
+    g: Graph, config: PipelineConfig | None = None, cache=None, *,
+    known_chi_lb: int | None = None,
 ) -> BoundReport:
     """Run the full staged computation on one graph.
 
     The solver stages (see _solve_stages) give alpha, the number of maximum
-    independent sets and alpha~; the closed-form bounds then run on them.
-    The m chain simply uses fewer terms when a stage was skipped or
+    independent sets and alpha~; the closed-form bounds then run on them,
+    with known_chi_lb, a known lower bound on the chromatic number, raising
+    s_lower. The m chain simply uses fewer terms when a stage was skipped or
     truncated. An optional cache stores the stage fields keyed by instance
-    content and solver-relevant config, so bound parameters like the known
-    chromatic lower bound can change without re-solving. A loaded entry
-    that is not a well-typed stage record with in-range values is a miss,
-    and is overwritten.
+    content and the whole config; known_chi_lb is not part of the config,
+    so it can change without re-solving. A loaded entry that is not a
+    well-typed stage record with in-range values is a miss, and is
+    overwritten.
     """
     cfg = config or PipelineConfig()
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     # chi(G) <= n, so no valid lower bound lies past n: reject it before any solve
-    if cfg.known_chi_lb is not None and not 1 <= cfg.known_chi_lb <= g.n:
-        raise ValueError(f"known_chi_lb {cfg.known_chi_lb} out of range 1..{g.n}")
+    if known_chi_lb is not None and not 1 <= known_chi_lb <= g.n:
+        raise ValueError(f"known_chi_lb {known_chi_lb} out of range 1..{g.n}")
 
     stages = cache.load(g, cfg) if cache is not None else None
     cached = stages is not None and _is_stage_record(stages, g.n)
@@ -342,7 +366,7 @@ def compute_bounds_pipeline(
     alpha_bar = stages["alpha_bar"]
     num_is = None if stages["num_is_truncated"] else stages["num_is"]
     m = compute_m(g.n, alpha_bar, num_is, stages["alpha_tilde"])
-    s_lower, s_source = choose_s_lower(g.n, alpha_bar, cfg.known_chi_lb)
+    s_lower, s_source = choose_s_lower(g.n, alpha_bar, known_chi_lb)
     if alpha_bar >= 2:
         q, r = divmod(g.n - m * alpha_bar, alpha_bar - 1)
     else:

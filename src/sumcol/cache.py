@@ -2,10 +2,10 @@
 
 Bound formulas are instant, but the stability number and the independent
 set enumeration can take minutes on hard instances. The cache keys those
-stage outputs by the graph's canonical edge list plus every configuration
-field the solvers see, so changing a pure bound input (the known chromatic
-lower bound) reuses the solve while any solver-relevant change forces a
-fresh run.
+stage outputs by the graph's canonical edge list plus the whole
+`bounds.PipelineConfig`, which holds only what the solvers read: any change
+to it forces a fresh run, while a formula input such as the known
+chromatic lower bound is no part of the key and reuses the solve.
 
 Entries are standalone JSON files, one per key, safe to delete at any time.
 An entry is the schema tag plus the dict of report stage fields the
@@ -25,7 +25,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .graph import Graph
@@ -42,9 +42,7 @@ def _graph_digest(g: Graph) -> str:
 
 
 def _config_digest(cfg) -> str:
-    # known_chi_lb is read only by the formulas, so it must not split entries
-    knobs = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "known_chi_lb"}
-    blob = json.dumps(knobs, sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

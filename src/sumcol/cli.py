@@ -81,13 +81,11 @@ def _count_cap(raw: str) -> int:
     return cap
 
 
-def _build_config(args, *, count_cap: int | None = None,
-                  known_chi_lb: int | None = None) -> PipelineConfig:
+def _build_config(args, *, count_cap: int | None = None) -> PipelineConfig:
     limits = _parse_time_limits(args.time_limit)
     return PipelineConfig(
         **{_STAGES[stage]: seconds for stage, seconds in limits.items()},
         count_cap=count_cap if count_cap is not None else args.count_cap,
-        known_chi_lb=known_chi_lb,
         alpha_override=getattr(args, "alpha", None),
     )
 
@@ -168,19 +166,19 @@ def cmd_bound(args) -> int:
     except OSError as exc:
         print(f"sumcol bound: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    cfg = _build_config(args)
     reports = []
     for spec in args.instance:
         try:
             g = _load_instance(spec)
+            report = compute_bounds_pipeline(g, cfg, cache=cache, known_chi_lb=args.chi_lb)
+            reports.append(report)
         except FileNotFoundError as exc:
             print(f"sumcol bound: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except DimacsError as exc:
+        except DimacsError as exc:  # before ValueError, its base class
             print(f"sumcol bound: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        cfg = _build_config(args, known_chi_lb=args.chi_lb)
-        try:
-            reports.append(compute_bounds_pipeline(g, cfg, cache=cache))
         except ValueError as exc:
             print(f"sumcol bound: {spec}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -207,7 +205,7 @@ def _table_rows(args) -> list[fixtures.ReferenceRow]:
             try:
                 rows.append(fixtures.get_row(name))
             except KeyError as exc:
-                raise ValueError(str(exc)) from None
+                raise ValueError(exc.args[0]) from None
         return rows
     tiers = ("desk", "heavy", "long") if args.long else ("desk",)
     return list(fixtures.rows_in_tier(*tiers))
@@ -254,8 +252,8 @@ def cmd_table(args) -> int:
         cap = args.count_cap
         if row.num_is > cap:
             cap = row.num_is + 1
-        cfg = _build_config(args, count_cap=cap, known_chi_lb=row.chi_lb)
-        report = compute_bounds_pipeline(g, cfg, cache=cache)
+        cfg = _build_config(args, count_cap=cap)
+        report = compute_bounds_pipeline(g, cfg, cache=cache, known_chi_lb=row.chi_lb)
         mism = fixtures.compare_report(report, row, corrected_num_is=not args.strict)
         results.append((row, report, mism, _row_status(mism), None))
 
@@ -329,13 +327,11 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    if args.cache_command == "clear":
-        cache = SolveCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
-        removed = cache.clear()
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
-              f"from {cache.directory}")
-        return EXIT_OK
-    raise AssertionError("unreachable")
+    cache = SolveCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
+    removed = cache.clear()
+    print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
+          f"from {cache.directory}")
+    return EXIT_OK
 
 
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:

@@ -46,24 +46,25 @@ def mycielskian(g: Graph, levels: int = 2, name: str = "") -> Graph:
     return Graph.from_edges(levels * n + 1, out, name=name)
 
 
+def _iterate_from_k2(rounds: int, levels: int, name: str) -> Graph:
+    g = Graph.from_edges(2, [(0, 1)], name=name)
+    for _ in range(rounds):
+        g = mycielskian(g, levels, name)
+    return g
+
+
 def myciel_graph(k: int) -> Graph:
     """myciel{k}: k-1 Mycielskian rounds from K2 (k=3 is the 11-vertex graph)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    g = Graph.from_edges(2, [(0, 1)])
-    for _ in range(k - 1):
-        g = mycielskian(g, 2)
-    return Graph(g.n, g.adj, name=f"myciel{k}")
+    return _iterate_from_k2(k - 1, 2, f"myciel{k}")
 
 
 def insertions_graph(k: int, l: int) -> Graph:
     """{k}-Insertions_{l}: l-1 generalized Mycielskian rounds (k+2 levels) from K2."""
     if k < 1 or l < 2:
         raise ValueError("need k >= 1 and l >= 2")
-    g = Graph.from_edges(2, [(0, 1)])
-    for _ in range(l - 1):
-        g = mycielskian(g, k + 2)
-    return Graph(g.n, g.adj, name=f"{k}-Insertions_{l}")
+    return _iterate_from_k2(l - 1, k + 2, f"{k}-Insertions_{l}")
 
 
 def queen_graph(rows: int, cols: int) -> Graph:
@@ -83,13 +84,16 @@ def queen_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(n, edges, name=f"queen{rows}_{cols}")
 
 
-_MYCIEL = re.compile(r"^myciel(\d+)$")
-_QUEEN = re.compile(r"^queen(\d+)_(\d+)$")
-_INSERTIONS = re.compile(r"^(\d+)-Insertions_(\d+)$")
+# each constructible family's full name and the builder its numbers feed
+_FAMILIES = (
+    (re.compile(r"myciel(\d+)"), myciel_graph),
+    (re.compile(r"queen(\d+)_(\d+)"), queen_graph),
+    (re.compile(r"(\d+)-Insertions_(\d+)"), insertions_graph),
+)
 
 
 def can_generate(name: str) -> bool:
-    return bool(_MYCIEL.match(name) or _QUEEN.match(name) or _INSERTIONS.match(name))
+    return any(pattern.fullmatch(name) for pattern, _ in _FAMILIES)
 
 
 def generate(name: str) -> Graph:
@@ -97,13 +101,8 @@ def generate(name: str) -> Graph:
 
     Raises ValueError for names outside the constructible families.
     """
-    m = _MYCIEL.match(name)
-    if m:
-        return myciel_graph(int(m.group(1)))
-    m = _QUEEN.match(name)
-    if m:
-        return queen_graph(int(m.group(1)), int(m.group(2)))
-    m = _INSERTIONS.match(name)
-    if m:
-        return insertions_graph(int(m.group(1)), int(m.group(2)))
+    for pattern, build in _FAMILIES:
+        m = pattern.fullmatch(name)
+        if m:
+            return build(*map(int, m.groups()))
     raise ValueError(f"no generator for instance {name!r}")

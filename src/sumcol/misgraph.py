@@ -167,25 +167,3 @@ def alpha_tilde(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
     (perfbench/spans.py) wraps both names and nests the search's span in it.
     """
     return max_independent_set(mg, time_limit)
-
-
-def compute_m(
-    n: int, alpha_bar: int, num_is: int | None = None, alpha_tilde_value: int | None = None
-) -> int:
-    """Cap on the number of parts equal to alpha_bar.
-
-    Always includes floor(n / alpha_bar); the number of maximum independent
-    sets and the intersection-graph stability number tighten it when known
-    (pass None for quantities that were skipped or truncated).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= alpha_bar <= n:
-        raise ValueError("alpha_bar must be in 1..n")
-    candidates = [n // alpha_bar]
-    for value in (num_is, alpha_tilde_value):
-        if value is not None:
-            if value < 1:
-                raise ValueError("known quantities must be >= 1")
-            candidates.append(value)
-    return min(candidates)

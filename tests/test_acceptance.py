@@ -77,8 +77,10 @@ def run_reference_row(row, graph=None, **overrides):
         cap = 5000
         if row.num_is > cap:
             cap = row.num_is + 1
-    cfg = PipelineConfig(count_cap=cap, known_chi_lb=row.chi_lb, **overrides)
-    return compute_bounds_pipeline(graph if graph is not None else generate(row.name), cfg)
+    cfg = PipelineConfig(count_cap=cap, **overrides)
+    return compute_bounds_pipeline(
+        graph if graph is not None else generate(row.name), cfg, known_chi_lb=row.chi_lb
+    )
 
 
 @pytest.fixture(scope="session")

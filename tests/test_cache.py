@@ -15,8 +15,9 @@ from sumcol import (
     default_cache_dir,
     queen_graph,
 )
+from sumcol import cli
 from sumcol.bounds import STAGE_FIELDS, _solve_stages
-from sumcol.cache import CACHE_SCHEMA
+from sumcol.cache import CACHE_SCHEMA, _config_digest
 
 
 def report_fields(report) -> dict:
@@ -101,30 +102,60 @@ class TestKeying:
 
     def test_every_solver_field_is_covered(self):
         names = {f.name for f in dataclasses.fields(PipelineConfig)}
-        assert set(self.SOLVER_FIELD_CHANGES) == names - {"known_chi_lb"}
+        assert set(self.SOLVER_FIELD_CHANGES) == names
 
+    # known_chi_lb is the formulas' input, passed beside the config
     @pytest.mark.parametrize("name", sorted(SOLVER_FIELD_CHANGES) + ["known_chi_lb"])
     def test_a_field_change_misses_unless_only_the_formulas_read_it(self, tmp_path, name):
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)
         compute_bounds_pipeline(g, PipelineConfig(), cache=cache)
-        value = self.SOLVER_FIELD_CHANGES.get(name, 5)
-        changed = compute_bounds_pipeline(g, PipelineConfig(**{name: value}), cache=cache)
+        if name == "known_chi_lb":
+            changed = compute_bounds_pipeline(g, cache=cache, known_chi_lb=5)
+        else:
+            cfg = PipelineConfig(**{name: self.SOLVER_FIELD_CHANGES[name]})
+            changed = compute_bounds_pipeline(g, cfg, cache=cache)
         assert changed.cached == (name == "known_chi_lb")
         assert changed.sigma_m == 75
+
+    # key prefixes of entries already on disk: a change to them orphans every entry
+    DIGEST_PINS = {
+        "default": (PipelineConfig(), "361c762a31d3fd7e"),
+        "random workload limits": (
+            PipelineConfig(alpha_time_limit=10.0, enum_time_limit=2.0,
+                           alpha_tilde_time_limit=2.0),
+            "00433d290dbdbe77",
+        ),
+        "count cap": (PipelineConfig(count_cap=195272), "e7b1884fde9f4bed"),
+        "alpha override": (PipelineConfig(alpha_override=5), "b0de9819d9d13e85"),
+    }
+
+    @pytest.mark.parametrize("case", list(DIGEST_PINS))
+    def test_config_digest_is_pinned(self, case):
+        cfg, prefix = self.DIGEST_PINS[case]
+        assert _config_digest(cfg)[:16] == prefix
+        assert CACHE_SCHEMA == "sumcol-cache-v7"
 
     def test_pure_bound_input_change_still_hits(self, tmp_path):
         cache = SolveCache(tmp_path)
         g = queen_graph(6, 6)
         base = compute_bounds_pipeline(g, PipelineConfig(), cache=cache)
-        tightened = compute_bounds_pipeline(
-            g, PipelineConfig(known_chi_lb=7), cache=cache
-        )
+        tightened = compute_bounds_pipeline(g, cache=cache, known_chi_lb=7)
         assert tightened.cached
         assert tightened.s_lower == 7
         assert tightened.s_lower_source == "known-chi-lb"
         assert tightened.sigma_m >= base.sigma_m
         assert len(list(tmp_path.glob("*.json"))) == 1
+
+    def test_a_table_entry_serves_bound_with_another_chi_lb(self, tmp_path, capsys):
+        # table feeds the row's published chi_lb (5), bound feeds its own
+        assert cli.main(["table", "queen5_5", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["bound", "queen5_5", "--cache-dir", str(tmp_path), "--chi-lb", "6",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["cached"], report["s_lower"], report["sigma_m"]) == (True, 6, 76)
 
 
 class TestRobustness:

@@ -94,6 +94,9 @@ class TestBound:
         code, _, err = run(capsys, "bound", "no_such_graph", "--no-cache")
         assert code == 1
         assert "neither a file nor a constructible instance" in err
+        # a family name whose builder rejects its numbers
+        code, out, err = run(capsys, "bound", "myciel1", "--no-cache")
+        assert (code, out, err) == (1, "", "sumcol bound: myciel1: k must be >= 2\n")
 
     def test_missing_col_file_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "missing/instance.col", "--no-cache")
@@ -258,7 +261,7 @@ class TestTable:
     def test_unknown_row_name(self, capsys):
         code, _, err = run(capsys, "table", "queen99_99", "--no-cache")
         assert code == 1
-        assert "no reference row" in err
+        assert err == "sumcol table: no reference row for instance 'queen99_99'\n"
 
     def test_csv_format_appends_status(self, capsys, tmp_path):
         code, out, _ = run(

@@ -4,7 +4,6 @@ import pytest
 
 from sumcol import (
     BoundParams,
-    PipelineConfig,
     ReferenceRow,
     choose_s_lower,
     compare_report,
@@ -109,9 +108,7 @@ class TestLookup:
 class TestCompareReport:
     def test_published_and_corrected_views_of_a_defective_row(self):
         row = get_row("myciel3")
-        report = compute_bounds_pipeline(
-            myciel_graph(3), PipelineConfig(known_chi_lb=row.chi_lb)
-        )
+        report = compute_bounds_pipeline(myciel_graph(3), known_chi_lb=row.chi_lb)
         against_published = compare_report(report, row)
         assert against_published == [("num_is", 2, 1)]
         assert compare_report(report, row, corrected_num_is=True) == []

@@ -12,8 +12,9 @@ from bruteforce import (
     random_graph,
 )
 from sumcol import PipelineConfig, compute_bounds_pipeline, compare_report, get_row
+from sumcol.bounds import compute_m
 from sumcol.instances import queen_graph
-from sumcol.misgraph import MisGraph, alpha_tilde, build_mis_graph, compute_m
+from sumcol.misgraph import MisGraph, alpha_tilde, build_mis_graph
 from sumcol.stable import enumerate_maximum_independent_sets, max_independent_set
 
 
