@@ -8,6 +8,11 @@ Subcommands:
   lattice  print the partial order of admissible partitions
   cache    maintenance of the solver-stage cache (cache clear)
 
+Every flag is checked as it is parsed, so a bad value is a usage error
+before any instance is loaded. Commands raise their errors; `main` alone
+prints them, as `sumcol <command>: <message>`, with `<instance>: ` before
+the message of an error from loading or solving one instance.
+
 Exit codes: 0 success, 1 usage error, 2 instance parse error, 3 reference
 mismatch.
 """
@@ -17,13 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, fixtures, instances
 from .bounds import BoundReport, PipelineConfig, compute_bounds_pipeline
 from .cache import SolveCache, default_cache_dir
 from .graph import DimacsError, Graph, parse_dimacs, read_dimacs, write_dimacs
-from .partitions import BoundParams, InfeasibleParamsError, lattice_dag
+from .partitions import BoundParams, lattice_dag
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,28 +52,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_time_limits(pairs: list[str]) -> dict[str, float]:
-    limits: dict[str, float] = {}
-    for pair in pairs:
-        stage, sep, raw = pair.partition("=")
-        if not sep:
-            raise ValueError(f"expected STAGE=SECONDS, got {pair!r}")
-        if stage not in _STAGES and stage != "all":
-            raise ValueError(
-                f"unknown stage {stage!r}; choose from {', '.join(_STAGES)} or all"
-            )
-        try:
-            seconds = float(raw)
-        except ValueError:
-            raise ValueError(f"bad number of seconds in {pair!r}") from None
-        if not seconds > 0:  # NaN too: no clock ever passes a NaN deadline
-            raise ValueError(f"time limit must be positive, got {pair!r}")
-        if stage == "all":
-            for s in _STAGES:
-                limits[s] = seconds
-        else:
-            limits[stage] = seconds
-    return limits
+def _time_limit(raw: str) -> tuple[str, float]:
+    """argparse type of --time-limit: STAGE=SECONDS as (stage, seconds)."""
+    stage, sep, seconds = raw.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected STAGE=SECONDS, got {raw!r}")
+    if stage not in _STAGES and stage != "all":
+        raise argparse.ArgumentTypeError(
+            f"unknown stage {stage!r}; choose from {', '.join(_STAGES)} or all"
+        )
+    try:
+        value = float(seconds)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number of seconds in {raw!r}") from None
+    if not value > 0:  # NaN too: no clock ever passes a NaN deadline
+        raise argparse.ArgumentTypeError(f"time limit must be positive, got {raw!r}")
+    return stage, value
 
 
 def _count_cap(raw: str) -> int:
@@ -81,25 +81,26 @@ def _count_cap(raw: str) -> int:
     return cap
 
 
-def _build_config(args, *, count_cap: int | None = None) -> PipelineConfig:
-    limits = _parse_time_limits(args.time_limit)
+def _build_config(args) -> PipelineConfig:
+    limits = {}
+    for stage, seconds in args.time_limit:
+        for s in _STAGES if stage == "all" else (stage,):
+            limits[_STAGES[s]] = seconds
     return PipelineConfig(
-        **{_STAGES[stage]: seconds for stage, seconds in limits.items()},
-        count_cap=count_cap if count_cap is not None else args.count_cap,
-        alpha_override=getattr(args, "alpha", None),
+        **limits, count_cap=args.count_cap, alpha_override=getattr(args, "alpha", None)
     )
 
 
 def _make_cache(args) -> SolveCache | None:
     """The solve cache, or None under --no-cache. Its directory is made now,
-    so an unusable path raises OSError before any solve, not after it."""
+    so an unusable path is a usage error before any solve, not after it."""
     if getattr(args, "no_cache", False):
         return None
     directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OSError(f"cache directory {directory}: {exc.strerror or exc}") from None
+        raise ValueError(f"cache directory {directory}: {exc.strerror or exc}") from None
     return SolveCache(directory)
 
 
@@ -118,10 +119,12 @@ def _load_instance(spec: str, instances_dir: str | None = None) -> Graph:
     if instances.can_generate(spec):
         return instances.generate(spec)
     if "/" in spec or spec.endswith(".col"):
-        raise FileNotFoundError(f"instance file not found: {spec}")
-    raise FileNotFoundError(
-        f"{spec!r} is neither a file nor a constructible instance name"
-    )
+        raise FileNotFoundError("instance file not found")
+    raise FileNotFoundError("neither a file nor a constructible instance name")
+
+
+class _InstanceError(Exception):
+    """Loading or solving the named instance failed; the cause is chained."""
 
 
 def _print_report_block(report: BoundReport, out) -> None:
@@ -155,33 +158,20 @@ def _print_report_block(report: BoundReport, out) -> None:
 
 
 def cmd_bound(args) -> int:
-    if getattr(args, "alpha", None) is not None and len(args.instance) > 1:
-        print("sumcol bound: --alpha applies to a single instance", file=sys.stderr)
-        return EXIT_USAGE
-    if args.chi_lb is not None and len(args.instance) > 1:
-        print("sumcol bound: --chi-lb applies to a single instance", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cache = _make_cache(args)
-    except OSError as exc:
-        print(f"sumcol bound: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, value in (("--alpha", args.alpha), ("--chi-lb", args.chi_lb)):
+        if value is not None and len(args.instance) > 1:
+            raise ValueError(f"{flag} applies to a single instance")
+    cache = _make_cache(args)
     cfg = _build_config(args)
     reports = []
     for spec in args.instance:
         try:
             g = _load_instance(spec)
-            report = compute_bounds_pipeline(g, cfg, cache=cache, known_chi_lb=args.chi_lb)
-            reports.append(report)
-        except FileNotFoundError as exc:
-            print(f"sumcol bound: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except DimacsError as exc:  # before ValueError, its base class
-            print(f"sumcol bound: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except ValueError as exc:
-            print(f"sumcol bound: {spec}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            reports.append(
+                compute_bounds_pipeline(g, cfg, cache=cache, known_chi_lb=args.chi_lb)
+            )
+        except (FileNotFoundError, ValueError) as exc:
+            raise _InstanceError(spec) from exc
 
     if args.format == "json":
         payload = [r.to_json_dict() for r in reports]
@@ -200,13 +190,10 @@ def cmd_bound(args) -> int:
 
 def _table_rows(args) -> list[fixtures.ReferenceRow]:
     if args.names:
-        rows = []
-        for name in args.names:
-            try:
-                rows.append(fixtures.get_row(name))
-            except KeyError as exc:
-                raise ValueError(exc.args[0]) from None
-        return rows
+        try:
+            return [fixtures.get_row(name) for name in args.names]
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     tiers = ("desk", "heavy", "long") if args.long else ("desk",)
     return list(fixtures.rows_in_tier(*tiers))
 
@@ -221,39 +208,30 @@ def _row_status(mismatches) -> str:
 
 
 def cmd_table(args) -> int:
-    try:
-        rows = _table_rows(args)
-    except ValueError as exc:
-        print(f"sumcol table: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cache = _make_cache(args)
-    except OSError as exc:
-        print(f"sumcol table: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = _table_rows(args)
+    cache = _make_cache(args)
+    cfg = _build_config(args)
     results = []
     for row in rows:
-        g = None
-        reason = None
-        if row.generator_available:
-            g = instances.generate(row.name)
-            g = parse_dimacs(write_dimacs(g), name=row.name)
-        else:
-            try:
-                g = _load_instance(row.name, args.instances_dir)
-            except FileNotFoundError:
-                reason = "instance file not available"
-            except DimacsError as exc:
-                print(f"sumcol table: {row.name}: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-        if g is None:
-            results.append((row, None, [], "skipped", reason))
-            continue
-        cap = args.count_cap
-        if row.num_is > cap:
-            cap = row.num_is + 1
-        cfg = _build_config(args, count_cap=cap)
-        report = compute_bounds_pipeline(g, cfg, cache=cache, known_chi_lb=row.chi_lb)
+        try:
+            if row.generator_available:
+                g = instances.generate(row.name)
+                g = parse_dimacs(write_dimacs(g), name=row.name)
+            else:
+                try:
+                    g = _load_instance(row.name, args.instances_dir)
+                except FileNotFoundError:
+                    reason = "instance file not available"
+                    results.append((row, None, [], "skipped", reason))
+                    continue
+            row_cfg = cfg
+            if row.num_is > cfg.count_cap:
+                row_cfg = replace(cfg, count_cap=row.num_is + 1)
+            report = compute_bounds_pipeline(
+                g, row_cfg, cache=cache, known_chi_lb=row.chi_lb
+            )
+        except (FileNotFoundError, ValueError) as exc:
+            raise _InstanceError(row.name) from exc
         mism = fixtures.compare_report(report, row, corrected_num_is=not args.strict)
         results.append((row, report, mism, _row_status(mism), None))
 
@@ -317,11 +295,7 @@ def _emit_table(args, results) -> None:
 
 def cmd_lattice(args) -> int:
     params = BoundParams(args.n, args.alpha_bar, args.s_lower, args.m)
-    try:
-        dag = lattice_dag(params, limit=args.limit)
-    except InfeasibleParamsError as exc:
-        print(f"sumcol lattice: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    dag = lattice_dag(params, limit=args.limit)
     print(dag.to_dot() if args.format == "dot" else dag.to_text())
     return EXIT_OK
 
@@ -337,6 +311,7 @@ def cmd_cache(args) -> int:
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--time-limit",
+        type=_time_limit,
         action="append",
         default=[],
         metavar="STAGE=SECONDS",
@@ -417,9 +392,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE  # the parser has printed the usage error
     try:
         return args.func(args)
+    except _InstanceError as exc:
+        error, message = exc.__cause__, f"{exc}: {exc.__cause__}"
     except ValueError as exc:
-        print(f"sumcol: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, message = exc, str(exc)
+    print(f"sumcol {args.command}: {message}", file=sys.stderr)
+    return EXIT_PARSE if isinstance(error, DimacsError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -99,9 +99,9 @@ class TestBound:
         assert (code, out, err) == (1, "", "sumcol bound: myciel1: k must be >= 2\n")
 
     def test_missing_col_file_is_a_usage_error(self, capsys):
-        code, _, err = run(capsys, "bound", "missing/instance.col", "--no-cache")
-        assert code == 1
-        assert "not found" in err
+        code, out, err = run(capsys, "bound", "missing/instance.col", "--no-cache")
+        assert (code, out) == (1, "")
+        assert err == "sumcol bound: missing/instance.col: instance file not found\n"
 
     def test_malformed_file_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.col"
@@ -115,7 +115,7 @@ class TestBound:
         path.write_bytes(b"p edge 2 1\ne 1 \xff2\n")
         code, _, err = run(capsys, "bound", str(path), "--no-cache")
         assert code == 2
-        assert err.startswith("sumcol bound: line 2: malformed edge line")
+        assert err.startswith(f"sumcol bound: {path}: line 2: malformed edge line")
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_unusable_cache_dir_fails_before_solving(self, capsys, tmp_path, below):
@@ -194,7 +194,7 @@ class TestBound:
             capsys, "bound", "queen5_5", "--time-limit", value, "--no-cache"
         )
         assert code == 1
-        assert err
+        assert "argument --time-limit" in err
 
     def test_time_limit_all_fans_out(self, capsys):
         code, out, _ = run(
@@ -211,20 +211,37 @@ class TestBound:
 
 
 @pytest.mark.parametrize(
-    "command", [["bound", "queen5_5"], ["table", "myciel3"]], ids=["bound", "table"]
+    "command",
+    [["bound", "queen5_5"], ["table", "myciel3"], ["table", "DSJC125.1"]],
+    ids=["bound", "table", "table-skipped-row"],
 )
-@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--count-cap", "0", "count_cap must be positive, got 0"),
+        ("--count-cap", "-3", "count_cap must be positive, got -3"),
+        ("--time-limit", "warp=10",
+         "unknown stage 'warp'; choose from alpha, enum, alpha-tilde or all"),
+        ("--time-limit", "alpha=0", "time limit must be positive, got 'alpha=0'"),
+        ("--time-limit", "all=nan", "time limit must be positive, got 'all=nan'"),
+        ("--time-limit", "alpha", "expected STAGE=SECONDS, got 'alpha'"),
+    ],
+    ids=["0", "-3", "warp=10", "alpha=0", "all=nan", "alpha"],
+)
 def test_nonpositive_count_cap_is_a_usage_error_before_any_solve(
-    capsys, monkeypatch, command, cap
+    capsys, monkeypatch, command, flag, value, message
 ):
+    """A bad --count-cap or --time-limit is refused as it is parsed, before
+    any instance is loaded, even when every table row would be skipped."""
+
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved before rejecting --count-cap")
+        raise AssertionError(f"solved before rejecting {flag}")
 
     monkeypatch.setattr(cli, "compute_bounds_pipeline", no_solve)
-    code, out, err = run(capsys, *command, "--count-cap", cap, "--no-cache")
+    code, out, err = run(capsys, *command, flag, value, "--no-cache")
     assert (code, out) == (1, "")
     assert "usage: sumcol" in err
-    assert f"count_cap must be positive, got {cap}" in err
+    assert f"sumcol {command[0]}: error: argument {flag}: {message}\n" in err
 
 
 class TestTable:
@@ -320,6 +337,14 @@ class TestTable:
         assert out == ""
         assert err.startswith(f"sumcol table: cache directory {blocker}: ")
 
+    def test_solve_error_names_the_row(self, capsys, monkeypatch):
+        def failing_solve(*args, **kwargs):
+            raise ValueError("no solve")
+
+        monkeypatch.setattr(cli, "compute_bounds_pipeline", failing_solve)
+        code, out, err = run(capsys, "table", "myciel3", "--no-cache")
+        assert (code, out, err) == (1, "", "sumcol table: myciel3: no solve\n")
+
     def test_row_status_classifies_incomplete(self):
         assert cli._row_status([]) == "ok"
         assert cli._row_status([("num_is", 5, None)]) == "incomplete"
@@ -360,7 +385,13 @@ class TestLattice:
             "--s-lower", "6", "--m", "6", "--limit", "10",
         )
         assert code == 1
-        assert "exceeds" in err
+        assert err == "sumcol lattice: n=30 exceeds the lattice limit 10\n"
+
+    def test_invalid_parameters_name_the_command(self, capsys):
+        code, out, err = run(
+            capsys, "lattice", "--n", "0", "--alpha-bar", "5", "--s-lower", "6", "--m", "6"
+        )
+        assert (code, out, err) == (1, "", "sumcol lattice: n must be >= 1\n")
 
 
 class TestCache:
@@ -385,6 +416,15 @@ class TestConfig:
         args = cli.build_parser().parse_args(["bound", "queen5_5"])
         assert cli._build_config(args) == PipelineConfig(
             alpha_override=args.alpha, count_cap=args.count_cap
+        )
+
+    def test_time_limits_apply_in_order_with_all_fanning_out(self):
+        args = cli.build_parser().parse_args(
+            ["table", "--time-limit", "enum=5", "--time-limit", "all=30",
+             "--time-limit", "alpha-tilde=2.5"]
+        )
+        assert cli._build_config(args) == PipelineConfig(
+            alpha_time_limit=30.0, enum_time_limit=30.0, alpha_tilde_time_limit=2.5
         )
 
 
