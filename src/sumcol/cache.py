@@ -15,7 +15,13 @@ It holds no timings, so solves that reach the same outcomes write the same
 bytes, and never the sets themselves. The cache does not interpret that
 dict; the pipeline checks a loaded one and treats a malformed entry as a
 miss.
-`clear` deletes only the files the cache writes, by their names.
+
+The schema tag is not written by hand: it is a digest of the package's
+source (`source_tag`), so any change to a module retires every entry
+written before it, and an entry with another tag is a miss that the next
+store overwrites.
+`clear` deletes only the files the cache writes, by their names. A store
+whose temporary file a concurrent `clear` deleted skips its write.
 """
 
 from __future__ import annotations
@@ -30,7 +36,17 @@ from pathlib import Path
 
 from .graph import Graph
 
-CACHE_SCHEMA = "sumcol-cache-v7"
+
+def source_tag(package: Path) -> str:
+    """`sumcol-cache-` and 12 hex digits of a SHA-256 over the package's
+    `*.py` modules, taken in name order as name, NUL, bytes."""
+    h = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return f"sumcol-cache-{h.hexdigest()[:12]}"
+
+
+CACHE_SCHEMA = source_tag(Path(__file__).parent)
 
 
 def _graph_digest(g: Graph) -> str:
@@ -84,8 +100,11 @@ class SolveCache:
             with open(fd, "w", encoding="utf-8") as fh:
                 json.dump({"schema": CACHE_SCHEMA, **stages}, fh)
             os.replace(tmp, path)
+        except FileNotFoundError:
+            # a concurrent clear deleted the temporary file: the write is skipped
+            return
         except BaseException:
-            os.unlink(tmp)
+            Path(tmp).unlink(missing_ok=True)
             raise
 
     def clear(self) -> int:

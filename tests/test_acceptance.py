@@ -386,6 +386,8 @@ class TestCriterion8:
         for func in (
             TestCriterion8.test_c8_queen11_11_full_row,
             TestCriterion8.test_c8_queen12_12_full_row,
+            TestCriterion8.test_c8_queen13_13_full_row,
+            TestCriterion8.test_c8_queen14_14_full_row,
             TestCriterion8.test_c8_file_row_chromatic_sum_bound,
         ):
             assert "long" in [mark.name for mark in func.pytestmark]
@@ -414,6 +416,26 @@ class TestCriterion8:
         row = get_row("queen12_12")
         report = run_reference_row(
             row, alpha_time_limit=300.0, enum_time_limit=300.0
+        )
+        assert compare_report(report, row, corrected_num_is=True) == []
+        assert report.alpha_tilde_skipped == "num-is-over-cap"
+
+    @pytest.mark.long
+    def test_c8_queen13_13_full_row(self):
+        # about 40 s: the enumeration counts 73712 sets
+        row = get_row("queen13_13")
+        report = run_reference_row(
+            row, alpha_time_limit=600.0, enum_time_limit=600.0
+        )
+        assert compare_report(report, row, corrected_num_is=True) == []
+        assert report.alpha_tilde_skipped == "num-is-over-cap"
+
+    @pytest.mark.long
+    def test_c8_queen14_14_full_row(self):
+        # about 4 min: the enumeration counts 365596 sets
+        row = get_row("queen14_14")
+        report = run_reference_row(
+            row, alpha_time_limit=1800.0, enum_time_limit=1800.0
         )
         assert compare_report(report, row, corrected_num_is=True) == []
         assert report.alpha_tilde_skipped == "num-is-over-cap"

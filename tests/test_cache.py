@@ -2,8 +2,14 @@
 
 import dataclasses
 import json
+import os
+import re
+import shutil
+import subprocess
 import sys
 import threading
+import types
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +21,10 @@ from sumcol import (
     default_cache_dir,
     queen_graph,
 )
+import sumcol.cache
 from sumcol import cli
 from sumcol.bounds import STAGE_FIELDS, _solve_stages
-from sumcol.cache import CACHE_SCHEMA, _config_digest
+from sumcol.cache import CACHE_SCHEMA, _config_digest, source_tag
 
 
 def report_fields(report) -> dict:
@@ -134,7 +141,6 @@ class TestKeying:
     def test_config_digest_is_pinned(self, case):
         cfg, prefix = self.DIGEST_PINS[case]
         assert _config_digest(cfg)[:16] == prefix
-        assert CACHE_SCHEMA == "sumcol-cache-v7"
 
     def test_pure_bound_input_change_still_hits(self, tmp_path):
         cache = SolveCache(tmp_path)
@@ -156,6 +162,27 @@ class TestKeying:
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["cached"], report["s_lower"], report["sigma_m"]) == (True, 6, 76)
+
+
+class TestSchemaTag:
+    def test_tag_is_a_digest_of_the_package_source(self, tmp_path):
+        assert re.fullmatch(r"sumcol-cache-[0-9a-f]{12}", CACHE_SCHEMA)
+        package = Path(sumcol.cache.__file__).parent
+        probe = "import sumcol.cache; print(sumcol.cache.CACHE_SCHEMA)"
+        env = {**os.environ, "PYTHONPATH": str(package.parent)}
+        imports = [
+            subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True).stdout.strip()
+            for _ in range(2)
+        ]
+        assert imports == [CACHE_SCHEMA, CACHE_SCHEMA]
+        copy = tmp_path / "sumcol"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_tag(copy) == CACHE_SCHEMA
+        module = copy / "partitions.py"
+        module.write_bytes(module.read_bytes() + b"\n")
+        assert re.fullmatch(r"sumcol-cache-[0-9a-f]{12}", source_tag(copy))
+        assert source_tag(copy) != CACHE_SCHEMA
 
 
 class TestRobustness:
@@ -196,7 +223,6 @@ class TestRobustness:
         entry.write_text(json.dumps(obj), encoding="utf-8")
         report = compute_bounds_pipeline(g, cache=cache)
         assert not report.cached
-        assert CACHE_SCHEMA == "sumcol-cache-v7"
         assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == CACHE_SCHEMA
         assert compute_bounds_pipeline(g, cache=cache).cached
 
@@ -392,6 +418,40 @@ class TestWrites:
         assert other.read_text(encoding="utf-8") == "half-written"
         assert compute_bounds_pipeline(g, cache=cache).cached
 
+
+    @staticmethod
+    def clear_after_dump(monkeypatch, cache, then=None):
+        """Make store's JSON dump end with `cache.clear()`, then raise `then`:
+        the race in which a concurrent clear deletes a live temporary file."""
+        def dump(obj, fh):
+            json.dump(obj, fh)
+            cache.clear()
+            if then is not None:
+                raise then
+
+        monkeypatch.setattr(sumcol.cache, "json",
+                            types.SimpleNamespace(dump=dump, load=json.load,
+                                                  dumps=json.dumps))
+
+    def test_a_clear_inside_store_skips_the_write(self, tmp_path, monkeypatch, capsys):
+        self.clear_after_dump(monkeypatch, SolveCache(tmp_path))
+        assert cli.main(["bound", "queen5_5", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("queen5_5:")
+        assert "chromatic sum >=       75" in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_store_whose_tmp_file_is_gone_raises_its_own_error(
+        self, tmp_path, monkeypatch
+    ):
+        cache = SolveCache(tmp_path)
+        g = queen_graph(5, 5)
+        cfg = PipelineConfig()
+        stages, _ = _solve_stages(g, cfg)
+        self.clear_after_dump(monkeypatch, cache, then=OSError("disk full"))
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(g, cfg, stages)
+        assert list(tmp_path.iterdir()) == []
 
     def test_concurrent_stores_of_one_key_stay_valid(self, tmp_path):
         cache = SolveCache(tmp_path)
