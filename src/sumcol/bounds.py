@@ -231,7 +231,10 @@ class BoundReport:
                 return str(x).lower()
             if isinstance(x, float):
                 return f"{x:.4f}"
-            return str(x)
+            x = str(x)
+            if any(c in x for c in ',"\r\n'):  # RFC 4180 quoting
+                return '"' + x.replace('"', '""') + '"'
+            return x
 
         return ",".join(cell(getattr(self, name)) for name in self.CSV_FIELDS)
 

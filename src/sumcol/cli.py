@@ -104,7 +104,7 @@ def _make_cache(args) -> SolveCache | None:
     return SolveCache(directory)
 
 
-def _load_instance(spec: str, instances_dir: str | None = None) -> Graph:
+def _load_instance(spec: str) -> Graph:
     """Resolve an instance argument: an existing file, else a generator name.
 
     Raises FileNotFoundError when neither works and DimacsError on bad files.
@@ -112,10 +112,6 @@ def _load_instance(spec: str, instances_dir: str | None = None) -> Graph:
     path = Path(spec)
     if path.is_file():
         return read_dimacs(path)
-    if instances_dir is not None:
-        candidate = Path(instances_dir) / f"{spec}.col"
-        if candidate.is_file():
-            return read_dimacs(candidate)
     if instances.can_generate(spec):
         return instances.generate(spec)
     if "/" in spec or spec.endswith(".col"):
@@ -218,12 +214,13 @@ def cmd_table(args) -> int:
                 g = instances.generate(row.name)
                 g = parse_dimacs(write_dimacs(g), name=row.name)
             else:
-                try:
-                    g = _load_instance(row.name, args.instances_dir)
-                except FileNotFoundError:
+                # a row with no generator is read from --instances-dir alone
+                path = args.instances_dir and Path(args.instances_dir, f"{row.name}.col")
+                if not (path and path.is_file()):
                     reason = "instance file not available"
                     results.append((row, None, [], "skipped", reason))
                     continue
+                g = read_dimacs(path)
             row_cfg = cfg
             if row.num_is > cfg.count_cap:
                 row_cfg = replace(cfg, count_cap=row.num_is + 1)

@@ -4,11 +4,16 @@ Vertices are 0-based ints inside the library. DIMACS text is 1-based; the
 parser and writer translate at the boundary. Adjacency rows are Python ints
 used as bitsets, which keeps neighborhood intersection and counting cheap
 for the branch and bound search built on top.
+
+A DIMACS line ends at "\n", "\r\n" or "\r" (universal newlines), in a file
+and in text alike; any other separator, such as a form feed, NEL or U+2028,
+is whitespace inside its line. Error line numbers count those lines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,28 +99,30 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
     The stored edge count is the deduplicated count and may differ from the
     m printed on the p line.
     """
-    return _parse_lines(text.splitlines(), name)
+    return _parse_lines(io.StringIO(text, newline=None), name)
 
 
 def _parse_lines(lines: Iterable[str], name: str) -> Graph:
-    """parse_dimacs over the lines of `text.splitlines()`, taken one at a time."""
+    """The graph of DIMACS lines, taken one at a time from a text stream in
+    universal-newlines mode; line numbers count from 1."""
     n = -1
     adj: list[int] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields or fields[0][0] == "c":
+            continue
         if fields[0] == "p":
             if n >= 0:
                 raise DimacsError(line_no, "duplicate problem line")
             if len(fields) != 4 or fields[1] not in ("edge", "edges"):
-                raise DimacsError(line_no, f"malformed problem line: {line!r}")
+                raise DimacsError(line_no, f"malformed problem line: {line.strip()!r}")
             try:
                 n = int(fields[2])
                 declared_m = int(fields[3])
             except ValueError:
-                raise DimacsError(line_no, f"malformed problem line: {line!r}") from None
+                raise DimacsError(
+                    line_no, f"malformed problem line: {line.strip()!r}"
+                ) from None
             if n < 0 or declared_m < 0:
                 raise DimacsError(line_no, "negative counts on problem line")
             adj = [0] * n
@@ -123,12 +130,12 @@ def _parse_lines(lines: Iterable[str], name: str) -> Graph:
             if n < 0:
                 raise DimacsError(line_no, "edge line before problem line")
             if len(fields) != 3:
-                raise DimacsError(line_no, f"malformed edge line: {line!r}")
+                raise DimacsError(line_no, f"malformed edge line: {line.strip()!r}")
             try:
                 u = int(fields[1])
                 v = int(fields[2])
             except ValueError:
-                raise DimacsError(line_no, f"malformed edge line: {line!r}") from None
+                raise DimacsError(line_no, f"malformed edge line: {line.strip()!r}") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsError(line_no, f"edge endpoint out of range 1..{n}")
             if u == v:
@@ -136,7 +143,7 @@ def _parse_lines(lines: Iterable[str], name: str) -> Graph:
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         else:
-            raise DimacsError(line_no, f"unrecognized line: {line!r}")
+            raise DimacsError(line_no, f"unrecognized line: {line.strip()!r}")
     if n < 0:
         raise DimacsError(0, "missing problem line")
     return Graph(n, tuple(adj), name)
@@ -160,31 +167,11 @@ def write_dimacs(g: Graph, comment: str | None = None) -> str:
 def read_dimacs(path) -> Graph:
     """Read a .col file; the graph name is the file stem.
 
-    The file is parsed a block at a time as it is read, so only the graph
-    is held, not the text; lines and their numbers are parse_dimacs's. Bytes
+    The file is parsed line by line as it is read, so only the graph is
+    held, not the text; lines and their numbers are parse_dimacs's. Bytes
     that are not UTF-8 decode to U+FFFD: ignored in a comment, they make a
     problem or edge line malformed, so parsing raises DimacsError.
     """
     p = Path(path)
     with p.open(encoding="utf-8", errors="replace") as f:
-        return _parse_lines(_read_lines(f), p.stem)
-
-
-def _read_lines(f) -> Iterator[str]:
-    """The lines of `f.read().splitlines()`, read 8192 characters at a time.
-
-    A text file in universal-newlines mode turns every line end into "\n";
-    splitlines also breaks at form feeds and the like. So the text up to
-    the last "\n" read splits into whole lines, the same as in the full
-    text, and only the rest waits for the next block.
-    """
-    pending: list[str] = []
-    while block := f.read(1 << 13):
-        cut = block.rfind("\n") + 1
-        if not cut:
-            pending.append(block)
-            continue
-        pending.append(block[:cut])
-        yield from "".join(pending).splitlines()
-        pending = [block[cut:]]
-    yield from "".join(pending).splitlines()
+        return _parse_lines(f, p.stem)

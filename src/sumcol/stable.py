@@ -370,10 +370,12 @@ def max_independent_set(
     count of its root's greedy coloring (at most the complement's
     degeneracy + 1), so value >= alpha(g) always holds.
     `stop`, a proven upper bound on alpha(g), ends the search as soon as an
-    independent set of that size is found.
+    independent set of that size is found; it must be at least 1.
     """
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
+    if stop is not None and stop < 1:
+        raise ValueError("stop must be at least 1")
     search = _CliqueSearch(g.complement().adj, time_limit)
     try:
         witness = search.maximise(stop)

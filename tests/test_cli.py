@@ -1,5 +1,7 @@
 """Tests for the command line interface."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -70,6 +72,17 @@ class TestBound:
             assert int(cells[column]) == payload[column], column
         assert cells["instance"] == payload["instance"]
         assert f"chromatic sum >=       {payload['sigma_m']}" in table_out
+
+    def test_csv_quotes_cells_that_need_it(self, capsys, tmp_path):
+        name = 'tri,"ang"'
+        path = tmp_path / f"{name}.col"
+        path.write_text(TRIANGLE_COL, encoding="utf-8")
+        code, out, _ = run(capsys, "bound", str(path), "--no-cache", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == list(BoundReport.CSV_FIELDS)
+        assert len(row) == len(header)
+        assert row[0] == name
 
     def test_alpha_override_is_reported_as_provided(self, capsys):
         code, out, _ = run(
@@ -328,6 +341,21 @@ class TestTable:
         )
         assert code == 2
         assert err.startswith("sumcol table: DSJC125.1: line 2: malformed edge line")
+
+    def test_file_only_rows_are_read_from_instances_dir_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a file named after the row in the working directory is not the row
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "DSJC125.1").write_text(TRIANGLE_COL, encoding="utf-8")
+        (tmp_path / "DSJC125.1.col").write_text(TRIANGLE_COL, encoding="utf-8")
+        for extra in ((), ("--instances-dir", "elsewhere")):
+            code, out, _ = run(
+                capsys, "table", "DSJC125.1", *extra, "--format", "json", "--no-cache"
+            )
+            assert code == 0
+            (entry,) = json.loads(out)["rows"]
+            assert entry["status"] == "skipped"
 
     def test_unusable_cache_dir_fails_before_solving(self, capsys, tmp_path):
         blocker = tmp_path / "x"

@@ -149,6 +149,16 @@ def test_read_dimacs_splits_lines_as_parse_dimacs(tmp_path, text):
     assert_reads_as_parsed(tmp_path / "g.col", text)
 
 
+@pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+def test_lines_end_only_at_newlines(tmp_path, sep):
+    # any other separator is whitespace inside its line, in text and in a file
+    text = f"c made by gen{sep}page 2\np edge 2 1\ne 1{sep}2\n"
+    assert parse_dimacs(text) == Graph.from_edges(2, [(0, 1)])
+    assert assert_reads_as_parsed(tmp_path / "ok.col", text) is None
+    bad = f"c ok{sep}\np edge 2 1\ne 1 x\n"
+    assert assert_reads_as_parsed(tmp_path / "bad.col", bad) == 3
+
+
 def assert_reads_as_parsed(path, text):
     """read_dimacs on `text` saved at `path` gives parse_dimacs's graph or
     error; returns the error's line number, or None."""
@@ -165,22 +175,26 @@ def assert_reads_as_parsed(path, text):
 
 
 def test_read_dimacs_across_read_blocks(tmp_path):
-    # many blocks of the reader, line breaks of every kind at random places
-    # (a "\r\n" or a character split between blocks too), and one bad line
-    # at the end whose number must come out the same
+    # many 8 KiB blocks of the file, line breaks of every kind at random
+    # places (a "\r\n" or a character split between blocks too), other
+    # separators inside comments, and one bad line at the end whose number
+    # must come out the same
     rng = random.Random(5)
-    breaks = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\r\r\n\n"]
+    breaks = ["\n", "\r\n", "\r", "\r\r\n\n"]
     n = 60
     lines = [f"p edge {n} 0"]
     for _ in range(6000):
         if rng.random() < 0.1:
             # now and then a comment longer than a block, so a block holds no "\n"
-            lines.append("c " + "\u00e9" * (9000 if rng.random() < 0.02 else rng.randint(0, 300)))
+            body = "\u00e9" * (9000 if rng.random() < 0.02 else rng.randint(0, 300))
+            cut = rng.randint(0, len(body))
+            lines.append("c " + body[:cut] + rng.choice(["\x0c", "\x85", "\u2028"]) + body[cut:])
         else:
             u, v = rng.sample(range(1, n + 1), 2)
             lines.append(f"e {u} {v}")
     good = "".join(line + rng.choice(breaks) for line in lines)
     assert len(good.encode("utf-8")) > 8 * 8192
+    assert max(map(len, lines)) > 9000
     assert assert_reads_as_parsed(tmp_path / "good.col", good) is None
     assert assert_reads_as_parsed(tmp_path / "bad.col", good + "e 1 x\n") > len(lines)
 

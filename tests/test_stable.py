@@ -135,6 +135,14 @@ class TestMaxIndependentSet:
                 assert res.exact and res.value == alpha
                 assert res.witness in sets
 
+    def test_stop_below_one_is_rejected(self):
+        # a stop of 0 would end the search at its greedy start with exact=True
+        g = queen_graph(8, 8)
+        for stop in (0, -1):
+            with pytest.raises(ValueError, match="stop must be at least 1"):
+                max_independent_set(g, stop=stop)
+        assert max_independent_set(complete_graph(4), stop=1).value == 1
+
     def test_timeout_falls_back_to_the_smaller_upper_bound(self):
         rng = random.Random(3)
         g = random_graph(130, 0.15, rng)
