@@ -22,6 +22,7 @@ from .cache import SolveCache, default_cache_dir
 from .fixtures import ReferenceRow, compare_report, get_row, rows_in_tier
 from .graph import DimacsError, Graph, parse_dimacs, read_dimacs, write_dimacs
 from .instances import (
+    board_symmetries,
     can_generate,
     generate,
     insertions_graph,
@@ -72,6 +73,7 @@ __all__ = [
     "ReferenceRow",
     "SolveCache",
     "alpha_tilde",
+    "board_symmetries",
     "build_mis_graph",
     "can_generate",
     "change",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
 from .graph import Graph
+from .instances import board_symmetries
 from .misgraph import alpha_tilde as _alpha_tilde
 from .misgraph import build_mis_graph
 from .partitions import (
@@ -279,8 +280,10 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
     number. A later stage is skipped (never guessed) when an earlier one is
     inexact or truncated, and the skip reason is recorded. An exact alpha
     with no independent set of its size can only be an alpha override above
-    alpha(g), which raises ValueError. A stage's time covers its solver call
-    alone (alpha~'s leaves out the intersection-graph build), and a provided
+    alpha(g), which raises ValueError. alpha~ is given g's board maps
+    (instances.board_symmetries) to prune its clique search by. A stage's
+    time covers its solver call alone (alpha~'s leaves out the
+    intersection-graph build and the search for board maps), and a provided
     alpha takes none.
     """
     if cfg.alpha_override is not None:
@@ -326,8 +329,9 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
         stages["alpha_tilde_skipped"] = "num-is-over-cap"
     else:
         mg = build_mis_graph(enum.sets)
+        symmetries = board_symmetries(g)
         start = time.monotonic()
-        tilde = _alpha_tilde(mg, cfg.alpha_tilde_time_limit)
+        tilde = _alpha_tilde(mg, cfg.alpha_tilde_time_limit, symmetries)
         timings["alpha_tilde"] = time.monotonic() - start
         stages["alpha_tilde"] = tilde.value
         stages["alpha_tilde_exact"] = tilde.exact

@@ -20,8 +20,10 @@ The schema tag is not written by hand: it is a digest of the package's
 source (`source_tag`), so any change to a module retires every entry
 written before it, and an entry with another tag is a miss that the next
 store overwrites.
-`clear` deletes only the files the cache writes, by their names. A store
-whose temporary file a concurrent `clear` deleted skips its write.
+`clear` deletes only the files the cache writes, by their names, and
+counts only the entries it removed itself: a file that a concurrent store
+or clear took away after `clear` listed the directory is passed over. A
+store whose temporary file a concurrent `clear` deleted skips its write.
 """
 
 from __future__ import annotations
@@ -115,7 +117,12 @@ class SolveCache:
             for path in self.directory.iterdir():
                 name = self._NAMES.fullmatch(path.name)
                 if name:
-                    path.unlink()
+                    try:
+                        path.unlink()
+                    except FileNotFoundError:
+                        # a concurrent store renamed its temporary file, or
+                        # another clear got there first: nothing was removed
+                        continue
                     removed += name[1] is not None
         return removed
 

@@ -97,9 +97,10 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
     Self loops, out-of-range endpoints, junk lines, edges before the problem
     line, or a second problem line raise DimacsError with the line number.
     The stored edge count is the deduplicated count and may differ from the
-    m printed on the p line.
+    m printed on the p line. A leading byte order mark (U+FEFF) is dropped,
+    as read_dimacs drops it from a file.
     """
-    return _parse_lines(io.StringIO(text, newline=None), name)
+    return _parse_lines(io.StringIO(text.removeprefix("\ufeff"), newline=None), name)
 
 
 def _parse_lines(lines: Iterable[str], name: str) -> Graph:
@@ -170,8 +171,9 @@ def read_dimacs(path) -> Graph:
     The file is parsed line by line as it is read, so only the graph is
     held, not the text; lines and their numbers are parse_dimacs's. Bytes
     that are not UTF-8 decode to U+FFFD: ignored in a comment, they make a
-    problem or edge line malformed, so parsing raises DimacsError.
+    problem or edge line malformed, so parsing raises DimacsError. A UTF-8
+    byte order mark at the start of the file is skipped.
     """
     p = Path(path)
-    with p.open(encoding="utf-8", errors="replace") as f:
+    with p.open(encoding="utf-8-sig", errors="replace") as f:
         return _parse_lines(f, p.stem)

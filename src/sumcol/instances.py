@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 
 from .graph import Graph
+from .stable import is_automorphism
 
 
 def mycielskian(g: Graph, levels: int = 2, name: str = "") -> Graph:
@@ -82,6 +83,39 @@ def queen_graph(rows: int, cols: int) -> Graph:
                     if r2 == r1 or c2 == c1 or abs(r2 - r1) == abs(c2 - c1):
                         edges.append((u, r2 * cols + c2))
     return Graph.from_edges(n, edges, name=f"queen{rows}_{cols}")
+
+
+def _board_maps(rows: int, cols: int):
+    """The row-major index maps of the rows x cols board's flips and turns:
+    the two flips and the half turn, and on a square board also both
+    diagonal reflections and both quarter turns."""
+    r, c = rows - 1, cols - 1
+    moves = [lambda i, j: (r - i, j), lambda i, j: (i, c - j), lambda i, j: (r - i, c - j)]
+    if rows == cols:
+        moves += [lambda i, j: (j, i), lambda i, j: (c - j, r - i),
+                  lambda i, j: (j, r - i), lambda i, j: (c - j, i)]
+    for move in moves:
+        yield tuple(a * cols + b for a, b in
+                    (move(i, j) for i in range(rows) for j in range(cols)))
+
+
+def board_symmetries(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The board maps that are automorphisms of g, as vertex permutations.
+
+    For each factorisation n = rows * cols with rows, cols >= 2, g's
+    vertices are read as the cells of a rows x cols board in row-major
+    order, and each of the board's flips and turns (_board_maps) is kept
+    if it maps g onto itself (stable.is_automorphism), each map once. No
+    name is read, so a queen graph written to DIMACS and read back keeps
+    its 7 (square board) or 3 maps.
+    """
+    found: dict[tuple[int, ...], None] = {}
+    for rows in range(2, g.n // 2 + 1):
+        if g.n % rows == 0:
+            for perm in _board_maps(rows, g.n // rows):
+                if perm not in found and is_automorphism(g.adj, perm):
+                    found[perm] = None
+    return tuple(found)
 
 
 # each constructible family's full name and the builder its numbers feed

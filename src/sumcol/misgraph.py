@@ -10,12 +10,16 @@ alpha~ never exceeds its cap, min(#sets, |union| // smallest set size).
 When equal-size sets can tile their union at that cap, reaching it is an
 exact-cover problem, which Knuth's Algorithm X settles (arXiv cs/0011047)
 long before a clique search would; the clique search runs otherwise, and
-ends as soon as it reaches the cap.
+ends as soon as it reaches the cap. Automorphisms of the graph the sets
+came from (the board maps of instances.board_symmetries) permute the
+maximum sets; the clique search takes them as permutations of the
+members and prunes its root by their orbits.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import stable
@@ -127,7 +131,26 @@ def _exact_cover(mg: MisGraph, deadline: _Deadline) -> tuple[int, ...] | None:
     return tuple(sorted(chosen)) if found else None
 
 
-def max_independent_set(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
+def _member_maps(
+    mg: MisGraph, symmetries: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Each map of the sets' vertices (`sigma[v]` is v's image) as a
+    permutation of the member indices: member i goes to its image set.
+    Raises ValueError when an image set is not a member."""
+    index = {member: i for i, member in enumerate(mg.members)}
+    maps = []
+    for k, sigma in enumerate(symmetries):
+        images = (tuple(sorted(sigma[v] for v in member)) for member in mg.members)
+        try:
+            maps.append(tuple(index[image] for image in images))
+        except (KeyError, IndexError):
+            raise ValueError(f"symmetry {k} does not map the sets onto themselves") from None
+    return maps
+
+
+def max_independent_set(
+    mg: MisGraph, time_limit: float = 60.0, symmetries: Sequence[Sequence[int]] = ()
+) -> AlphaResult:
     """alpha~ of the intersection graph, searched no further than its cap.
 
     cap = min(#sets, |union| // smallest set size) bounds alpha~ from above.
@@ -137,6 +160,13 @@ def max_independent_set(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
     clique search then runs on the time left and stops at the cap. A search
     stopped by the time limit reports min(the bound it held, cap),
     exact=False (method "cap" when the cap is the smaller).
+
+    `symmetries` are automorphisms of the graph the sets came from, as
+    permutations of its vertices, that map the family of sets onto itself
+    (those of `instances.board_symmetries`, on the family of all maximum
+    independent sets). Once exact cover has not settled the stage, each
+    becomes a permutation of the members, and the clique search prunes its
+    root by their orbits (see stable.max_independent_set).
     """
     deadline = _Deadline(time_limit, stride=16)
     sizes = {len(member) for member in mg.members}
@@ -151,19 +181,22 @@ def max_independent_set(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
         if tiling is not None:
             return AlphaResult(cap, True, "exact-cover", tiling)
         cap -= 1
+    maps = _member_maps(mg, symmetries)
     left = deadline.limit - time.monotonic()
     if left > 0:
-        res = stable.max_independent_set(mg.to_graph(), left, cap)
+        res = stable.max_independent_set(mg.to_graph(), left, cap, maps)
         if res.exact or res.value <= cap:
             return res
     return AlphaResult(cap, False, "cap")
 
 
-def alpha_tilde(mg: MisGraph, time_limit: float = 60.0) -> AlphaResult:
+def alpha_tilde(
+    mg: MisGraph, time_limit: float = 60.0, symmetries: Sequence[Sequence[int]] = ()
+) -> AlphaResult:
     """Stability number of the intersection graph (exact, or upper bound on timeout).
 
     The pipeline's alpha~ stage; the whole search runs in max_independent_set.
     It stays a function of its own because the benchmark tracer
     (perfbench/spans.py) wraps both names and nests the search's span in it.
     """
-    return max_independent_set(mg, time_limit)
+    return max_independent_set(mg, time_limit, symmetries)

@@ -13,7 +13,11 @@ one below the target size and lists every clique of that size. Past a
 given number of cliques, collect drops its list and only counts the rest,
 by popcounts over its last two levels, so a count needs no memory per set.
 A maximise search stopped by its time limit still reports the upper bound
-on alpha that its root coloring held (see _CliqueSearch).
+on alpha that its root coloring held (see _CliqueSearch). Given
+automorphisms of the graph, each checked first (is_automorphism), maximise
+prunes its root by orbits: once the cliques through a root candidate are
+searched, the candidate's images leave the root's pool too. Only the root
+prunes this way; the nodes below it do no extra work.
 
 Everything is single threaded and deterministic: vertices are relabeled
 into the smallest-last order of the clique graph (Matula and Beck, 1983,
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -114,13 +118,29 @@ def _allow_depth(depth: int) -> None:
         sys.setrecursionlimit(needed)
 
 
-def _relabel(adj: Sequence[int], order: list[int]) -> list[int]:
-    """The rows of adj with vertex order[p] renamed p."""
-    # permute each row's binary string: new bit p is old bit order[p], and
+def _renamer(order: Sequence[int]) -> Callable[[int], int]:
+    """The map that renames bit order[p] of an n-bit row to bit p."""
+    # permute the row's binary string: new bit p is old bit order[p], and
     # the string lists bit n - 1 first
-    n = len(adj)
+    n = len(order)
     bits, permute = f"0{n}b", itemgetter(*[n - 1 - v for v in reversed(order)])
-    return [int("".join(permute(format(adj[v], bits))), 2) for v in order]
+    return lambda row: int("".join(permute(format(row, bits))), 2)
+
+
+def _relabel(adj: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The rows of adj with vertex order[p] renamed p."""
+    rename = _renamer(order)
+    return [rename(adj[v]) for v in order]
+
+
+def is_automorphism(adj: Sequence[int], perm: Sequence[int]) -> bool:
+    """True when perm, a permutation of the vertices of the graph with rows
+    adj, maps it onto itself: u and v are adjacent iff perm[u] and perm[v]
+    are. Rows are compared one at a time; the first that differs ends it."""
+    # relabelling by perm gives row v the vertices u with perm[u] adjacent
+    # to perm[v]: an automorphism leaves every row as it was
+    rename = _renamer(perm)
+    return all(rename(adj[u]) == row for u, row in zip(perm, adj))
 
 
 def _smallest_last(adj: Sequence[int]) -> list[int]:
@@ -182,6 +202,8 @@ class _CliqueSearch:
 
     - maximise: the floor is the incumbent's size, seeded greedily and
       raised with each larger clique; the search ends once it reaches `stop`.
+      Its root (_root) drops each candidate's images under the given
+      automorphisms from its pool once the candidate is searched.
     - collect: the floor stays at target - 1, so every clique of size
       target is found, each once; the search ends past `cap` of them. Its
       last two levels are counted by popcount without coloring, where a
@@ -193,8 +215,9 @@ class _CliqueSearch:
     truncated. The root expands its candidates in descending color, so
     every clique not yet searched when the search stops while expanding
     root candidate i lies among order[:i + 1] and the unrecorded vertices,
-    whose colors are all at most colors[i]; the bound is the larger of
-    that and the incumbent's size.
+    whose colors are all at most colors[i], or holds a vertex the root
+    dropped as an image, and is then no larger than the incumbent; the
+    bound is the larger of colors[i] and the incumbent's size.
     """
 
     def __init__(self, adj: Sequence[int], seconds: float):
@@ -222,13 +245,19 @@ class _CliqueSearch:
         self.count = 0
         self.found: list[tuple[int, ...]] | None = []
 
-    def maximise(self, stop: int | None = None) -> list[int]:
+    def maximise(
+        self, stop: int | None = None, symmetries: Sequence[Sequence[int]] = ()
+    ) -> list[int]:
         """A maximum clique, sorted, in the original labels.
 
         `stop`, a proven upper bound on the clique number, ends the search
-        as soon as a clique of that size is found.
+        as soon as a clique of that size is found. `symmetries` are
+        automorphisms of the graph, each a permutation of its vertices
+        (ValueError if one is not): once the root has searched the cliques
+        through v, it drops v's images under them too (see _root).
         """
         self.stop = self.n if stop is None else stop
+        images = self._orbits(symmetries)
         pool = (1 << self.n) - 1
         while pool:
             v = (pool & -pool).bit_length() - 1
@@ -237,7 +266,7 @@ class _CliqueSearch:
         self.floor = len(self.best)
         if self.floor < self.stop:
             try:
-                self._expand(0, (1 << self.n) - 1)
+                self._root(images)
             except _Done:
                 pass
         return sorted(self.order[v] for v in self.best)
@@ -270,18 +299,31 @@ class _CliqueSearch:
             found.sort()
         return found, self.count, truncated
 
-    def _expand(self, size: int, pool: int) -> None:
-        self.deadline.check()
-        if size >= self.leaf_size:
-            self._leaves(pool)
-            return
-        adj, non = self.adj, self.non
+    def _orbits(self, symmetries: Sequence[Sequence[int]]) -> list[int]:
+        """For each vertex in the search's labels, the mask of it and its
+        images under the symmetries, each checked as an automorphism."""
+        n, order = self.n, self.order
+        position = [0] * n
+        for p, v in enumerate(order):
+            position[v] = p
+        images = [1 << p for p in range(n)]
+        for k, sigma in enumerate(symmetries):
+            if sorted(sigma) != list(range(n)):
+                raise ValueError(f"symmetry {k} is not a permutation of the {n} vertices")
+            sigma = [position[sigma[v]] for v in order]
+            if not is_automorphism(self.adj, sigma):
+                raise ValueError(f"symmetry {k} is not an automorphism of the graph")
+            for p, q in enumerate(sigma):
+                images[p] |= 1 << q
+        return images
+
+    def _color(self, pool: int, skip: int) -> tuple[list[int], list[int]]:
+        """The greedy coloring of pool: the vertices colored above skip, in
+        the order they were colored, and their colors."""
+        non = self.non
         order: list[int] = []
         colors: list[int] = []
         color = 0
-        # a vertex colored at most floor - size is pruned before it could
-        # branch, and the floor only rises: color it, but do not record it
-        skip = self.floor - size
         rest = pool
         while rest:
             color += 1
@@ -294,29 +336,69 @@ class _CliqueSearch:
                     colors.append(color)
                 avail &= non[v]
                 rest ^= b
-        stack = self.stack
+        return order, colors
+
+    def _root(self, images: list[int]) -> None:
+        """maximise's root: branch on each candidate as _expand does, then
+        drop it and its images (`images[v]`, v's bit included) from the pool.
+
+        Dropping an image is safe: if an automorphism maps v to w, its
+        inverse maps each clique through w onto one of the same size through
+        v, and the cliques through v are already searched, or hold a vertex
+        dropped before, which is covered the same way. A root candidate dropped before its turn
+        is skipped. A vertex the root coloring did not record cannot beat
+        the floor, and a clique the search never reaches because it holds a
+        dropped vertex is no larger than the floor, so the stopped search's
+        bound holds as it is.
+        """
+        self.deadline.check()
+        pool = (1 << self.n) - 1
+        # the greedy seed makes the floor at least 1, so a candidate with an
+        # empty child cannot raise it
+        order, colors = self._color(pool, self.floor)
+        adj, stack = self.adj, self.stack
         try:
             for i in range(len(order) - 1, -1, -1):
-                if size + colors[i] <= self.floor:
+                if colors[i] <= self.floor:
                     return
                 v = order[i]
-                stack.append(v)
-                child = pool & adj[v]
-                if child:
-                    self._expand(size + 1, child)
-                elif size + 1 > self.floor:
-                    # only maximise gets here: collect lists its leaves in _leaves
-                    self.floor = size + 1
-                    self.best = stack.copy()
-                    if self.floor >= self.stop:
-                        raise _Done
-                stack.pop()
-                pool ^= 1 << v
+                if pool >> v & 1:
+                    stack.append(v)
+                    child = pool & adj[v]
+                    if child:
+                        self._expand(1, child)
+                    stack.pop()
+                    pool &= ~images[v]
         except _Timeout:
             # runs only on the way out of a stop, so no node pays for the bound
-            if not size:
-                self.bound = max(self.floor, colors[i])
+            self.bound = max(self.floor, colors[i])
             raise
+
+    def _expand(self, size: int, pool: int) -> None:
+        self.deadline.check()
+        if size >= self.leaf_size:
+            self._leaves(pool)
+            return
+        # a vertex colored at most floor - size is pruned before it could
+        # branch, and the floor only rises: color it, but do not record it
+        order, colors = self._color(pool, self.floor - size)
+        adj, stack = self.adj, self.stack
+        for i in range(len(order) - 1, -1, -1):
+            if size + colors[i] <= self.floor:
+                return
+            v = order[i]
+            stack.append(v)
+            child = pool & adj[v]
+            if child:
+                self._expand(size + 1, child)
+            elif size + 1 > self.floor:
+                # only maximise gets here: collect lists its leaves in _leaves
+                self.floor = size + 1
+                self.best = stack.copy()
+                if self.floor >= self.stop:
+                    raise _Done
+            stack.pop()
+            pool ^= 1 << v
 
     def _leaves(self, pool: int) -> None:
         """Collect mode, one or two vertices short of the target: count the
@@ -361,7 +443,10 @@ class _CliqueSearch:
 
 
 def max_independent_set(
-    g: Graph, time_limit: float = 60.0, stop: int | None = None
+    g: Graph,
+    time_limit: float = 60.0,
+    stop: int | None = None,
+    symmetries: Sequence[Sequence[int]] = (),
 ) -> AlphaResult:
     """Exact alpha(g) by branch and bound, or a safe upper bound on timeout.
 
@@ -371,6 +456,9 @@ def max_independent_set(
     degeneracy + 1), so value >= alpha(g) always holds.
     `stop`, a proven upper bound on alpha(g), ends the search as soon as an
     independent set of that size is found; it must be at least 1.
+    `symmetries`, permutations of g's vertices (`perm[v]` is v's image),
+    prune the search's root by orbits; each is checked as an automorphism
+    of g first, and ValueError is raised for one that is not.
     """
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
@@ -378,7 +466,7 @@ def max_independent_set(
         raise ValueError("stop must be at least 1")
     search = _CliqueSearch(g.complement().adj, time_limit)
     try:
-        witness = search.maximise(stop)
+        witness = search.maximise(stop, symmetries)
     except _Timeout:
         return AlphaResult(search.bound, False, "bnb-bound")
     return AlphaResult(

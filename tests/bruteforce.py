@@ -200,6 +200,48 @@ def random_graph(n: int, p: float, rng: random.Random, name: str = "") -> Graph:
     return Graph.from_edges(n, edges, name=name)
 
 
+def graph_with_automorphism(
+    n: int, p: float, rng: random.Random, swap: bool
+) -> tuple[Graph, list[int]]:
+    """A random graph on n vertices and a planted automorphism sigma of it.
+
+    sigma is a random permutation, or with `swap` a product of disjoint
+    vertex swaps. Each pair of vertices joins the edge set with its whole
+    orbit under sigma, with probability p, so sigma maps the edge set onto
+    itself.
+    """
+    sigma = list(range(n))
+    if swap:
+        movers = rng.sample(range(n), 2 * rng.randint(1, n // 2))
+        for u, v in zip(movers[::2], movers[1::2]):
+            sigma[u], sigma[v] = v, u
+    else:
+        rng.shuffle(sigma)
+    edges: set[frozenset[int]] = set()
+    seen: set[frozenset[int]] = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair = frozenset((u, v))
+            if pair in seen:
+                continue
+            orbit = []
+            while pair not in orbit:
+                orbit.append(pair)
+                pair = frozenset(sigma[w] for w in pair)
+            seen.update(orbit)
+            if rng.random() < p:
+                edges.update(orbit)
+    return Graph.from_edges(n, [tuple(e) for e in edges]), sigma
+
+
+def maps_edges_onto_edges(g: Graph, perm) -> bool:
+    """True when perm is a permutation of g's vertices that maps its edge set onto itself."""
+    if sorted(perm) != list(range(g.n)):
+        return False
+    edges = {frozenset(e) for e in g.edges()}
+    return {frozenset((perm[u], perm[v])) for u, v in edges} == edges
+
+
 def queens_row_by_row_count(rows: int, cols: int) -> int:
     """Placements of `rows` mutually non-attacking queens, one per row.
 
@@ -222,7 +264,9 @@ def queens_row_by_row_count(rows: int, cols: int) -> int:
     return count
 
 
-def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None):
+def reference_clique_search(
+    adj, target=None, *, stop=None, cap=5000, keep=None, symmetries=()
+):
     """The clique kernel's search, written plainly, and its node count.
 
     It expands the same tree as stable._CliqueSearch: the same relabeling
@@ -233,6 +277,10 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
     it node for node. With target
     None it runs maximise and returns the clique, sorted, in the original
     labels; otherwise collect, returning (sets or None, count, truncated).
+    In maximise, `symmetries` (permutations of the vertices, taken as
+    automorphisms unchecked) prune the root: once a root candidate is
+    searched, its image under each leaves the pool, and a candidate no
+    longer in the pool is skipped.
     """
     n = len(adj)
     order = smallest_last_order(adj)
@@ -293,6 +341,8 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
         for v, c in zip(reversed(vertices), reversed(colors)):
             if size + c <= floor:
                 return
+            if not pool >> v & 1:
+                continue
             stack.append(v)
             child = pool & rows[v]
             if child:
@@ -304,6 +354,9 @@ def reference_clique_search(adj, target=None, *, stop=None, cap=5000, keep=None)
                     raise Done
             stack.pop()
             pool ^= 1 << v
+            if not size:
+                for sigma in symmetries:
+                    pool &= ~(1 << pos[sigma[order[v]]])
 
     truncated = False
     if target is None and floor >= stop:

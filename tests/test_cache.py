@@ -453,6 +453,32 @@ class TestWrites:
             cache.store(g, cfg, stages)
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_store_finishing_inside_clear_is_passed_over(self, tmp_path, monkeypatch):
+        # clear lists the directory, and before it unlinks anything a
+        # concurrent store renames its temporary file into place and a
+        # concurrent clear deletes one of the two listed entries
+        cache = SolveCache(tmp_path)
+        cfg = PipelineConfig()
+        for side in (5, 6):
+            compute_bounds_pipeline(queen_graph(side, side), cache=cache)
+        gone, kept = sorted(tmp_path.glob("*.json"))
+        stored = cache._path(queen_graph(4, 4), cfg)
+        tmp = tmp_path / f"{stored.stem}.x1y2ab_9.tmp"
+        tmp.write_text("{}", encoding="utf-8")
+        listed = type(tmp_path).iterdir
+
+        def iterdir(path):
+            listing = list(listed(path))
+            os.replace(tmp, stored)
+            gone.unlink()
+            return iter(listing)
+
+        monkeypatch.setattr(type(tmp_path), "iterdir", iterdir)
+        assert cache.clear() == 1
+        monkeypatch.undo()
+        assert not kept.exists()
+        assert [p.name for p in tmp_path.iterdir()] == [stored.name]
+
     def test_concurrent_stores_of_one_key_stay_valid(self, tmp_path):
         cache = SolveCache(tmp_path)
         g = queen_graph(5, 5)

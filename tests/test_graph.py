@@ -118,6 +118,22 @@ def test_read_dimacs_ignores_non_utf8_comments(tmp_path):
     assert g == parse_dimacs(TRIANGLE, name="latin1")
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "\ufeffc made on windows\r\n" + TRIANGLE
+    path = tmp_path / "bom.col"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_dimacs(path) == parse_dimacs(TRIANGLE, name="bom")
+    assert parse_dimacs(text, name="bom") == parse_dimacs(TRIANGLE, name="bom")
+    # only at the start: elsewhere it is a character of its line
+    for bad in (TRIANGLE + "\ufeffe 1 2\n", "\ufeff\ufeff" + TRIANGLE):
+        path.write_bytes(bad.encode("utf-8"))
+        with pytest.raises(DimacsError, match="unrecognized line") as from_text:
+            parse_dimacs(bad)
+        with pytest.raises(DimacsError, match="unrecognized line") as from_file:
+            read_dimacs(path)
+        assert str(from_file.value) == str(from_text.value)
+
+
 def test_read_dimacs_non_utf8_edge_line_is_malformed(tmp_path):
     path = tmp_path / "bad.col"
     path.write_bytes(b"p edge 2 1\ne 1 \xff2\n")

@@ -1,9 +1,12 @@
 """Tests for the constructible benchmark families."""
 
+import random
+
 import pytest
 
 from sumcol import (
     Budget,
+    board_symmetries,
     can_generate,
     enumerate_maximum_independent_sets,
     generate,
@@ -15,7 +18,8 @@ from sumcol import (
     rows_in_tier,
 )
 
-from bruteforce import brute_alpha_and_sets
+from bruteforce import brute_alpha_and_sets, maps_edges_onto_edges
+from sumcol.graph import Graph
 
 SIZES = {
     row.name: (row.n, row.edge_count)
@@ -119,3 +123,44 @@ class TestSmallStability:
         assert res.value == 18
         enum = enumerate_maximum_independent_sets(g, res.value, Budget(time_limit=30.0))
         assert enum.count == 1 and not enum.truncated
+
+
+class TestBoardSymmetries:
+    def test_square_boards_have_seven_maps_and_others_three(self):
+        for rows in range(2, 8):
+            for cols in range(2, 8):
+                g = queen_graph(rows, cols)
+                symmetries = board_symmetries(g)
+                assert len(symmetries) == (7 if rows == cols else 3), (rows, cols)
+                assert all(maps_edges_onto_edges(g, perm) for perm in symmetries)
+
+    def test_the_maps_are_the_boards_flips_and_turns(self):
+        # cell (i, j) of the 3 x 3 board is vertex 3 * i + j
+        turn = (6, 3, 0, 7, 4, 1, 8, 5, 2)
+        flip = (6, 7, 8, 3, 4, 5, 0, 1, 2)
+        group = {tuple(range(9))}
+        while True:
+            grown = group | {tuple(a[v] for v in b) for a in group for b in (turn, flip)}
+            if grown == group:
+                break
+            group = grown
+        assert len(group) == 8
+        assert set(board_symmetries(queen_graph(3, 3))) == group - {tuple(range(9))}
+
+    def test_every_map_found_on_a_relabelled_queen_graph_is_an_automorphism(self):
+        rng = random.Random(19)
+        found = 0
+        for _ in range(30):
+            board = queen_graph(rng.randint(2, 6), rng.randint(2, 6))
+            label = rng.sample(range(board.n), board.n)
+            g = Graph.from_edges(board.n, [(label[u], label[v]) for u, v in board.edges()])
+            symmetries = board_symmetries(g)
+            assert all(maps_edges_onto_edges(g, perm) for perm in symmetries)
+            found += len(symmetries)
+        # most relabellings leave no board map an automorphism, a few do
+        assert found > 0
+
+    def test_no_board_no_maps(self):
+        assert board_symmetries(queen_graph(1, 1)) == ()
+        assert board_symmetries(myciel_graph(4)) == ()  # 23 vertices: no board
+        assert board_symmetries(myciel_graph(6)) == ()  # 95 = 5 * 19, no symmetry

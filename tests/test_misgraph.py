@@ -9,11 +9,12 @@ from bruteforce import (
     brute_alpha_and_sets,
     brute_alpha_tilde,
     degree_rule_alpha_bar,
+    graph_with_automorphism,
     random_graph,
 )
 from sumcol import PipelineConfig, compute_bounds_pipeline, compare_report, get_row
 from sumcol.bounds import compute_m
-from sumcol.instances import queen_graph
+from sumcol.instances import board_symmetries, queen_graph
 from sumcol.misgraph import MisGraph, alpha_tilde, build_mis_graph
 from sumcol.stable import enumerate_maximum_independent_sets, max_independent_set
 
@@ -145,6 +146,39 @@ class TestAlphaTildeAgainstBruteForce:
             self.check(sets)
             compared += 1
         assert compared >= 100
+
+    def test_maximum_set_families_under_planted_automorphisms(self):
+        # random graphs with a planted automorphism, their maximum sets, and
+        # the automorphism passed on: the same alpha~ as without it
+        rng = random.Random(5)
+        searched = 0
+        for _ in range(300):
+            g, sigma = graph_with_automorphism(
+                rng.randint(4, 12), rng.uniform(0.1, 0.7), rng, rng.random() < 0.5
+            )
+            _, sets = brute_alpha_and_sets(g)
+            if len(sets) > 18:
+                continue
+            mg = build_mis_graph(sets)
+            res, plain = alpha_tilde(mg, 30.0, [sigma]), alpha_tilde(mg, 30.0)
+            assert res.exact and res.value == brute_alpha_tilde(sets)
+            assert (res.value, res.method) == (plain.value, plain.method)
+            searched += res.method == "exact-bnb"
+        assert searched >= 50
+
+    def test_a_map_that_moves_a_set_out_of_the_family_raises(self):
+        # mixed sizes: no exact cover, so the maps reach the clique search
+        mg = build_mis_graph([(0, 1), (1, 2), (2, 3, 4)])
+        for bad in ([1, 0, 2, 3, 4], [0, 1, 2]):
+            with pytest.raises(ValueError, match="symmetry 1 does not map the sets onto themselves"):
+                alpha_tilde(mg, 30.0, [[0, 1, 2, 3, 4], bad])
+
+    def test_queen_rows_keep_alpha_tilde_under_the_board_maps(self):
+        for side in (5, 6, 7, 8, 9):
+            g = queen_graph(side, side)
+            mg = build_mis_graph(queen_sets(side))
+            res = alpha_tilde(mg, 60.0, board_symmetries(g))
+            assert res.exact and res.value == get_row(f"queen{side}_{side}").m
 
     @pytest.mark.parametrize("side", [5, 6, 7, 8, 9])
     def test_queens_match_the_clique_kernel(self, side):

@@ -9,14 +9,16 @@ from bruteforce import (
     count_sets_of_size,
     degeneracy,
     degree_rule_alpha_bar,
+    graph_with_automorphism,
     greedy_coloring_alpha_bar,
+    maps_edges_onto_edges,
     random_graph,
     reference_clique_search,
     smallest_last_order,
 )
-from sumcol import insertions_graph, queen_graph, stable
+from sumcol import board_symmetries, insertions_graph, queen_graph, stable
 from sumcol.graph import Graph
-from sumcol.misgraph import alpha_tilde, build_mis_graph
+from sumcol.misgraph import _member_maps, alpha_tilde, build_mis_graph
 from sumcol.stable import (
     Budget,
     _CliqueSearch,
@@ -192,6 +194,76 @@ class TestStoppedSearchBound:
         assert below_greedy > 0
 
 
+def powers(sigma):
+    """sigma, sigma^2, ... up to the identity, which is left out."""
+    out, p = [], list(sigma)
+    while p != sorted(p):
+        out.append(p)
+        p = [sigma[v] for v in p]
+    return out
+
+
+class TestOrbitPruning:
+    """maximise given verified automorphisms, on random graphs with one
+    planted: the plain search's and the brute force's alpha, never more
+    nodes than the plain search, and a stopped search's bound still holds."""
+
+    @staticmethod
+    def planted(rng, smallest=2, density=(0.1, 0.9)):
+        n = rng.randint(smallest, 12)
+        g, sigma = graph_with_automorphism(n, rng.uniform(*density), rng, rng.random() < 0.5)
+        return g, powers(sigma) if rng.random() < 0.5 else [sigma]
+
+    def test_same_alpha_and_no_more_nodes(self):
+        rng = random.Random(41)
+        fewer = 0
+        for _ in range(400):
+            # most small graphs are settled at the root; these branch more often
+            g, symmetries = self.planted(rng, 8, (0.2, 0.6))
+            alpha, _ = brute_alpha_and_sets(g)
+            adj = g.complement().adj
+            plain, pruned = _CliqueSearch(adj, 60.0), _CliqueSearch(adj, 60.0)
+            assert len(plain.maximise()) == alpha
+            witness = pruned.maximise(symmetries=symmetries)
+            assert len(witness) == alpha and is_independent(g, witness)
+            assert pruned.deadline.ticks <= plain.deadline.ticks
+            fewer += pruned.deadline.ticks < plain.deadline.ticks
+            res = max_independent_set(g, symmetries=symmetries)
+            assert (res.value, res.exact, res.method) == (alpha, True, "exact-bnb")
+        assert fewer >= 10
+
+    def test_a_map_that_is_no_automorphism_raises(self):
+        rng = random.Random(42)
+        rejected = 0
+        for _ in range(100):
+            g, symmetries = self.planted(rng)
+            other = rng.sample(range(g.n), g.n)
+            if not maps_edges_onto_edges(g, other):
+                with pytest.raises(ValueError, match="symmetry 1 is not an automorphism"):
+                    max_independent_set(g, symmetries=[symmetries[0], other])
+                rejected += 1
+            for bad in ([0] * g.n, list(range(g.n + 1)), list(range(-1, g.n - 1))):
+                with pytest.raises(ValueError, match="symmetry 0 is not a permutation"):
+                    max_independent_set(g, symmetries=[bad])
+        assert rejected > 30
+
+    def test_every_stop_holds_a_bound_at_least_alpha(self, monkeypatch):
+        rng = random.Random(43)
+        stops = 0
+        while stops < 300:
+            g, symmetries = self.planted(rng)
+            alpha, _ = brute_alpha_and_sets(g)
+            counter = _StopAt()
+            monkeypatch.setattr(stable, "_Deadline", lambda seconds: counter)
+            assert max_independent_set(g, symmetries=symmetries).value == alpha
+            for stop in range(2, counter.ticks + 1):
+                monkeypatch.setattr(stable, "_Deadline", lambda seconds: _StopAt(stop))
+                res = max_independent_set(g, symmetries=symmetries)
+                assert (res.exact, res.method) == (False, "bnb-bound")
+                assert alpha <= res.value <= greedy_coloring_alpha_bar(g)
+                stops += 1
+
+
 class TestStoppedCollect:
     def test_every_stop_lists_a_part_of_the_full_listing(self, monkeypatch):
         rng = random.Random(12)
@@ -239,6 +311,21 @@ class TestSameTreeAsTheReference:
                     got = search.collect(target, cap, keep)
                     expected = reference_clique_search(adj, target, cap=cap, keep=keep)
                     assert (got, search.deadline.ticks) == expected, (target, cap, keep)
+
+    def test_orbit_pruned_maximise_matches_node_for_node(self):
+        rng = random.Random(14)
+        pruned = 0
+        for _ in range(200):
+            n = rng.randint(8, 40)
+            g, sigma = graph_with_automorphism(n, rng.uniform(0.1, 0.9), rng, rng.random() < 0.5)
+            adj = g.complement().adj
+            symmetries = powers(sigma) if rng.random() < 0.5 else [sigma]
+            search = _CliqueSearch(adj, 60.0)
+            got = search.maximise(symmetries=symmetries)
+            expected = reference_clique_search(adj, symmetries=symmetries)
+            assert (got, search.deadline.ticks) == expected
+            pruned += expected[1] < reference_clique_search(adj)[1]
+        assert pruned >= 30
 
 
 class TestEnumeration:
@@ -445,6 +532,14 @@ def queen10_10_disjointness():
     return queen_disjointness(10)
 
 
+def queen_orbits(k):
+    """queen_disjointness(k) with the queen board's symmetries as
+    permutations of its vertices, the maximum independent sets."""
+    g = queen_graph(k, k)
+    mg = build_mis_graph(enumerate_maximum_independent_sets(g, k).sets)
+    return mg.to_graph().complement().adj, _member_maps(mg, board_symmetries(g))
+
+
 class TestSearchTreePins:
     """The kernel's node counts on fixed inputs.
 
@@ -473,4 +568,15 @@ class TestSearchTreePins:
             assert len(search.maximise()) == result
         else:
             assert search.collect(target, 5000)[1:] == (result, False)
+        assert search.deadline.ticks == nodes
+
+    # root-level orbit pruning under the board's 8 symmetries
+    @pytest.mark.parametrize("side, nodes, result", [
+        (9, 2776, 7),
+        pytest.param(10, 44139, 8, marks=pytest.mark.long),
+    ], ids=["queen9_9-alpha-tilde-orbits", "queen10_10-alpha-tilde-orbits"])
+    def test_node_count_with_orbits(self, side, nodes, result):
+        adj, symmetries = queen_orbits(side)
+        search = _CliqueSearch(adj, 60.0)
+        assert len(search.maximise(symmetries=symmetries)) == result
         assert search.deadline.ticks == nodes
