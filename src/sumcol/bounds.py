@@ -280,12 +280,15 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
     number. A later stage is skipped (never guessed) when an earlier one is
     inexact or truncated, and the skip reason is recorded. An exact alpha
     with no independent set of its size can only be an alpha override above
-    alpha(g), which raises ValueError. alpha~ is given g's board maps
-    (instances.board_symmetries) to prune its clique search by. A stage's
-    time covers its solver call alone (alpha~'s leaves out the
-    intersection-graph build and the search for board maps), and a provided
-    alpha takes none.
+    alpha(g), which raises ValueError. g's board maps
+    (instances.board_symmetries), found once before any stage, prune the
+    root of all three clique searches by orbits; the enumeration lists by
+    orbits only while the listing fits MIS_GRAPH_CAP and the count cap,
+    and counts as before otherwise. A stage's time covers its solver call
+    alone (alpha~'s leaves out the intersection-graph build), the search
+    for board maps is in none, and a provided alpha takes none.
     """
+    symmetries = board_symmetries(g)
     if cfg.alpha_override is not None:
         if not 1 <= cfg.alpha_override <= g.n:
             raise ValueError("alpha override out of range")
@@ -293,7 +296,7 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
         timings = {"alpha": 0.0}
     else:
         start = time.monotonic()
-        alpha = max_independent_set(g, cfg.alpha_time_limit)
+        alpha = max_independent_set(g, cfg.alpha_time_limit, symmetries=symmetries)
         timings = {"alpha": time.monotonic() - start}
     stages = {
         "alpha_bar": alpha.value,
@@ -313,7 +316,11 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
 
     start = time.monotonic()
     enum = enumerate_maximum_independent_sets(
-        g, alpha.value, Budget(cfg.enum_time_limit, cfg.count_cap), keep=MIS_GRAPH_CAP
+        g,
+        alpha.value,
+        Budget(cfg.enum_time_limit, cfg.count_cap),
+        keep=MIS_GRAPH_CAP,
+        symmetries=symmetries,
     )
     timings["enumeration"] = time.monotonic() - start
     if not enum.count and not enum.truncated:
@@ -329,7 +336,6 @@ def _solve_stages(g: Graph, cfg: PipelineConfig) -> tuple[dict, dict[str, float]
         stages["alpha_tilde_skipped"] = "num-is-over-cap"
     else:
         mg = build_mis_graph(enum.sets)
-        symmetries = board_symmetries(g)
         start = time.monotonic()
         tilde = _alpha_tilde(mg, cfg.alpha_tilde_time_limit, symmetries)
         timings["alpha_tilde"] = time.monotonic() - start

@@ -14,9 +14,12 @@ given number of cliques, collect drops its list and only counts the rest,
 by popcounts over its last two levels, so a count needs no memory per set.
 A maximise search stopped by its time limit still reports the upper bound
 on alpha that its root coloring held (see _CliqueSearch). Given
-automorphisms of the graph, each checked first (is_automorphism), maximise
-prunes its root by orbits: once the cliques through a root candidate are
-searched, the candidate's images leave the root's pool too. Only the root
+automorphisms of the graph, each checked first (is_automorphism), both
+modes prune their root by orbits: once the cliques through a root
+candidate are searched, the candidate's images leave the root's pool too.
+Collect then closes the cliques it found under the maps, which gives back
+the whole listing, and runs the plain search instead once that listing
+would pass its count cap or the number of cliques it keeps. Only the root
 prunes this way; the nodes below it do no extra work.
 
 Everything is single threaded and deterministic: vertices are relabeled
@@ -202,13 +205,15 @@ class _CliqueSearch:
 
     - maximise: the floor is the incumbent's size, seeded greedily and
       raised with each larger clique; the search ends once it reaches `stop`.
-      Its root (_root) drops each candidate's images under the given
-      automorphisms from its pool once the candidate is searched.
     - collect: the floor stays at target - 1, so every clique of size
       target is found, each once; the search ends past `cap` of them. Its
       last two levels are counted by popcount without coloring, where a
       color bound can no longer prune, and listed only while the result
       may still hold at most `keep` cliques.
+
+    The root of both (_root) drops each candidate's images under the given
+    automorphisms from its pool once the candidate is searched; collect
+    then closes what it found under them (_orbit_listing).
 
     Past its deadline, maximise raises _Timeout and leaves in `bound` the
     clique number bound it held, and collect returns what it found, marked
@@ -272,32 +277,94 @@ class _CliqueSearch:
         return sorted(self.order[v] for v in self.best)
 
     def collect(
-        self, target: int, cap: int, keep: int | None = None
+        self,
+        target: int,
+        cap: int,
+        keep: int | None = None,
+        symmetries: Sequence[Sequence[int]] = (),
     ) -> tuple[list[tuple[int, ...]] | None, int, bool]:
         """Every clique of size target, canonically sorted, their count, and
         whether the count cap or the deadline cut the search short.
 
         When the result would hold more than `keep` cliques (None: no limit),
         the list is dropped as soon as that is known and None is returned in
-        its place; the count goes on.
+        its place; the count goes on. `symmetries`, automorphisms as in
+        maximise, prune the root by orbits and the cliques found are closed
+        under them (_orbit_listing). That listing answers only while it holds
+        at most min(cap, keep) cliques; past that the plain search runs on
+        the time left, so a capped or count-only result is the plain one.
         """
         self.floor = target - 1
         self.leaf_size = target - 2
-        self.cap = cap
-        self.keep = cap if keep is None else keep
+        keep = cap if keep is None else keep
+        images = self._orbits(symmetries)
+        if symmetries and self.leaf_size > 0:
+            listing = self._orbit_listing(min(cap, keep), images, symmetries)
+            if listing is not None:
+                return listing
         truncated = False
         try:
-            self._expand(0, (1 << self.n) - 1)
+            self._search(cap, keep, [1 << p for p in range(self.n)])
         except (_Done, _Timeout):
             truncated = True
+        return self._labelled(), self.count, truncated
+
+    def _search(self, cap: int, keep: int, images: list[int]) -> None:
+        """Run collect's search from an empty count and list: from _root
+        when the root branches, else straight to the root's leaves."""
+        self.cap, self.keep = cap, keep
+        self.count, self.found = 0, []
+        self.stack.clear()
+        if self.leaf_size > 0:
+            self._root(images)
+        else:
+            self._expand(0, (1 << self.n) - 1)
+
+    def _orbit_listing(
+        self, limit: int, images: list[int], symmetries: Sequence[Sequence[int]]
+    ) -> tuple[list[tuple[int, ...]], int, bool] | None:
+        """collect by orbits: the cliques the root-pruned search finds,
+        closed under the symmetries, or None once more than `limit` cliques
+        are known to exist.
+
+        Every clique is the image of a searched one under a product of the
+        maps (see _root), and a finite group is closed under its
+        generators, so the closure is the whole listing. A search stopped
+        by its deadline returns the closure of what it found, at most
+        `limit` cliques of it, marked truncated.
+        """
+        truncated = False
+        try:
+            self._search(limit, limit, images)
+        except _Done:
+            return None
+        except _Timeout:
+            truncated = True
+        found = set(self._labelled())
+        todo = list(found)
+        while todo and len(found) <= limit:
+            clique = todo.pop()
+            for sigma in symmetries:
+                image = tuple(sorted(map(sigma.__getitem__, clique)))
+                if image not in found:
+                    found.add(image)
+                    todo.append(image)
+        if len(found) > limit and not truncated:
+            return None
+        listing = sorted(found)[:limit]
+        return listing, len(listing), truncated
+
+    def _labelled(self) -> list[tuple[int, ...]] | None:
+        """The cliques found, sorted, each back in the original labels and
+        sorted, or None when they were only counted."""
         found = self.found
         if found is not None:
-            # back to the original labels in place, so only one copy is ever held
+            # in place, so only one copy is ever held
             label = self.order.__getitem__
             for i, c in enumerate(found):
                 found[i] = tuple(sorted(map(label, c)))
             found.sort()
-        return found, self.count, truncated
+        return found
 
     def _orbits(self, symmetries: Sequence[Sequence[int]]) -> list[int]:
         """For each vertex in the search's labels, the mask of it and its
@@ -339,22 +406,25 @@ class _CliqueSearch:
         return order, colors
 
     def _root(self, images: list[int]) -> None:
-        """maximise's root: branch on each candidate as _expand does, then
-        drop it and its images (`images[v]`, v's bit included) from the pool.
+        """The root of both modes: branch on each candidate as _expand does,
+        then drop it and its images (`images[v]`, v's bit included) from the
+        pool. With no maps (`images[v]` is v's bit alone) it is _expand's
+        root; collect comes here only when its root branches.
 
         Dropping an image is safe: if an automorphism maps v to w, its
         inverse maps each clique through w onto one of the same size through
         v, and the cliques through v are already searched, or hold a vertex
-        dropped before, which is covered the same way. A root candidate dropped before its turn
-        is skipped. A vertex the root coloring did not record cannot beat
-        the floor, and a clique the search never reaches because it holds a
-        dropped vertex is no larger than the floor, so the stopped search's
-        bound holds as it is.
+        dropped before, which is covered the same way. So every clique is the
+        image of a searched one under a product of the maps. A root candidate
+        dropped before its turn is skipped. A vertex the root coloring did not
+        record cannot beat the floor, and a clique the search never reaches
+        because it holds a dropped vertex is no larger than the floor, so the
+        stopped search's bound holds as it is.
         """
         self.deadline.check()
         pool = (1 << self.n) - 1
-        # the greedy seed makes the floor at least 1, so a candidate with an
-        # empty child cannot raise it
+        # maximise's greedy seed makes the floor at least 1, and collect's is
+        # target - 1 >= 2, so a candidate with an empty child cannot raise it
         order, colors = self._color(pool, self.floor)
         adj, stack = self.adj, self.stack
         try:
@@ -478,7 +548,11 @@ def max_independent_set(
 
 
 def enumerate_maximum_independent_sets(
-    g: Graph, target_size: int, budget: Budget | None = None, keep: int | None = None
+    g: Graph,
+    target_size: int,
+    budget: Budget | None = None,
+    keep: int | None = None,
+    symmetries: Sequence[Sequence[int]] = (),
 ) -> EnumerationResult:
     """Every independent set of g with exactly target_size vertices.
 
@@ -488,12 +562,17 @@ def enumerate_maximum_independent_sets(
     count exceeds `keep` (None: no limit) the sets are counted, not held:
     the result has sets == (), and a count and truncation flag that equal
     a full listing's unless the time limit stopped it.
+    `symmetries`, permutations of g's vertices checked as automorphisms as
+    in max_independent_set, let the search list the sets by orbits while
+    at most min(count cap, keep) of them exist; the result is the same.
     """
     if not 1 <= target_size <= g.n:
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")
     budget = budget or Budget()
     search = _CliqueSearch(g.complement().adj, budget.time_limit)
-    sets, count, truncated = search.collect(target_size, budget.count_cap, keep)
+    sets, count, truncated = search.collect(
+        target_size, budget.count_cap, keep, symmetries
+    )
     return EnumerationResult(
         sets=() if sets is None else tuple(sets),
         count=count,

@@ -277,10 +277,13 @@ def reference_clique_search(
     it node for node. With target
     None it runs maximise and returns the clique, sorted, in the original
     labels; otherwise collect, returning (sets or None, count, truncated).
-    In maximise, `symmetries` (permutations of the vertices, taken as
-    automorphisms unchecked) prune the root: once a root candidate is
-    searched, its image under each leaves the pool, and a candidate no
-    longer in the pool is skipped.
+    `symmetries` (permutations of the vertices, taken as automorphisms
+    unchecked) prune the root whenever it branches: once a root candidate
+    is searched, its image under each leaves the pool, and a candidate no
+    longer in the pool is skipped. Collect then takes every image of every
+    clique it found, and of every new image, until no new one appears; if
+    the search passes min(cap, keep) cliques, or the closure holds more, it
+    searches again without the maps, and the node count covers both.
     """
     n = len(adj)
     order = smallest_last_order(adj)
@@ -319,7 +322,7 @@ def reference_clique_search(
             count = cap
             raise Done
 
-    def expand(size, pool):
+    def expand(size, pool, maps):
         nonlocal floor, best, nodes
         nodes += 1
         if size >= leaf_size:
@@ -346,7 +349,7 @@ def reference_clique_search(
             stack.append(v)
             child = pool & rows[v]
             if child:
-                expand(size + 1, child)
+                expand(size + 1, child, maps)
             elif size + 1 > floor:
                 floor = size + 1
                 best = stack.copy()
@@ -355,18 +358,43 @@ def reference_clique_search(
             stack.pop()
             pool ^= 1 << v
             if not size:
-                for sigma in symmetries:
+                for sigma in maps:
                     pool &= ~(1 << pos[sigma[order[v]]])
 
+    def labelled(cliques):
+        return sorted(tuple(sorted(order[v] for v in c)) for c in cliques)
+
+    if target is None:
+        if floor < stop:
+            try:
+                expand(0, (1 << n) - 1, symmetries)
+            except Done:
+                pass
+        return sorted(order[v] for v in best), nodes
+
+    if symmetries and leaf_size > 0:
+        # leaves() reads cap and keep when it runs: the orbit search's are the limit
+        plain_limits, limit = (cap, keep), min(cap, keep)
+        cap = keep = limit
+        try:
+            expand(0, (1 << n) - 1, symmetries)
+        except Done:
+            pass
+        else:
+            closed = new = set(labelled(found))
+            while new:
+                new = {tuple(sorted(sigma[v] for v in c)) for c in new for sigma in symmetries}
+                new -= closed
+                closed |= new
+            if len(closed) <= limit:
+                return (sorted(closed), len(closed), False), nodes
+        count, found, (cap, keep) = 0, [], plain_limits
+        stack.clear()
     truncated = False
-    if target is None and floor >= stop:
-        return sorted(order[v] for v in best), 0
     try:
-        expand(0, (1 << n) - 1)
+        expand(0, (1 << n) - 1, ())
     except Done:
         truncated = True
-    if target is None:
-        return sorted(order[v] for v in best), nodes
     if found is not None:
-        found = sorted(tuple(sorted(order[v] for v in c)) for c in found)
+        found = labelled(found)
     return (found, count, truncated), nodes

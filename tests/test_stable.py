@@ -203,6 +203,14 @@ def powers(sigma):
     return out
 
 
+def some_powers(rng, sigma):
+    """[sigma] or, half the time, all its powers while it has at most 12:
+    collect closes its listing under every map given, so a random
+    permutation of order in the hundreds would only slow the test."""
+    out = powers(sigma)
+    return out if rng.random() < 0.5 and len(out) <= 12 else [sigma]
+
+
 class TestOrbitPruning:
     """maximise given verified automorphisms, on random graphs with one
     planted: the plain search's and the brute force's alpha, never more
@@ -262,6 +270,108 @@ class TestOrbitPruning:
                 assert (res.exact, res.method) == (False, "bnb-bound")
                 assert alpha <= res.value <= greedy_coloring_alpha_bar(g)
                 stops += 1
+
+
+class TestOrbitListing:
+    """collect given verified automorphisms, on random graphs (n <= 14)
+    with one planted: the plain listing, count and truncation flag, with
+    and without a count cap or a `keep` below the count."""
+
+    @staticmethod
+    def planted(rng):
+        n = rng.randint(3, 14)
+        g, sigma = graph_with_automorphism(n, rng.uniform(0.1, 0.8), rng, rng.random() < 0.5)
+        return g, some_powers(rng, sigma)
+
+    def test_same_listing_as_the_plain_search_and_the_brute_force(self):
+        rng = random.Random(51)
+        fewer = 0
+        for _ in range(300):
+            g, symmetries = self.planted(rng)
+            alpha, sets = brute_alpha_and_sets(g)
+            for size in {alpha, max(alpha - 1, 1)}:
+                plain = enumerate_maximum_independent_sets(g, size)
+                res = enumerate_maximum_independent_sets(g, size, symmetries=symmetries)
+                assert res == plain
+                assert res.count == count_sets_of_size(g, size) and not res.truncated
+                if size == alpha:
+                    assert list(res.sets) == sets
+            adj = g.complement().adj
+            plain, pruned = _CliqueSearch(adj, 60.0), _CliqueSearch(adj, 60.0)
+            assert plain.collect(alpha, 5000) == pruned.collect(alpha, 5000, None, symmetries)
+            assert pruned.deadline.ticks <= plain.deadline.ticks
+            fewer += pruned.deadline.ticks < plain.deadline.ticks
+        assert fewer >= 30
+
+    def test_a_listing_past_the_cap_or_keep_is_the_plain_result(self):
+        rng = random.Random(52)
+        fell_back = 0
+        for _ in range(200):
+            g, symmetries = self.planted(rng)
+            alpha, _ = brute_alpha_and_sets(g)
+            size = max(alpha - 1, 1)
+            total = count_sets_of_size(g, size)
+            for cap in {total - 1, total, max(total // 2, 1), 5000} - {0}:
+                for keep in {None, 0, total - 1, total, cap // 2}:
+                    plain = enumerate_maximum_independent_sets(g, size, Budget(count_cap=cap), keep)
+                    res = enumerate_maximum_independent_sets(
+                        g, size, Budget(count_cap=cap), keep, symmetries
+                    )
+                    assert res == plain, (cap, keep)
+                    limit = cap if keep is None else min(cap, keep)
+                    fell_back += size > 2 and total > limit
+        assert fell_back > 100
+
+    def test_every_stop_lists_a_part_of_the_full_listing(self, monkeypatch):
+        rng = random.Random(53)
+        stops = 0
+        while stops < 400:
+            g, symmetries = self.planted(rng)
+            alpha, sets = brute_alpha_and_sets(g)
+            full, total = set(sets), len(sets)
+            for cap in {5000, max(total // 2, 1)}:
+                counter = _StopAt()
+                monkeypatch.setattr(stable, "_Deadline", lambda seconds: counter)
+                enumerate_maximum_independent_sets(
+                    g, alpha, Budget(count_cap=cap), symmetries=symmetries
+                )
+                for stop in range(1, counter.ticks + 1):
+                    monkeypatch.setattr(stable, "_Deadline", lambda seconds: _StopAt(stop))
+                    res = enumerate_maximum_independent_sets(
+                        g, alpha, Budget(count_cap=cap), symmetries=symmetries
+                    )
+                    assert res.truncated
+                    assert len(res.sets) == res.count <= min(cap, total)
+                    assert set(res.sets) <= full
+                    assert list(res.sets) == sorted(res.sets)
+                    stops += 1
+
+    def test_each_board_map_alone_gives_the_queen_listing(self):
+        # a quarter turn alone reaches its square and cube only through the worklist
+        for side in (5, 6, 7, 8):
+            g = queen_graph(side, side)
+            plain = enumerate_maximum_independent_sets(g, side)
+            for sigma in board_symmetries(g):
+                assert enumerate_maximum_independent_sets(g, side, symmetries=[sigma]) == plain
+
+    def test_a_map_that_is_no_automorphism_raises(self):
+        rng = random.Random(54)
+        rejected = 0
+        for _ in range(100):
+            g, symmetries = self.planted(rng)
+            alpha, _ = brute_alpha_and_sets(g)
+            other = rng.sample(range(g.n), g.n)
+            # checked whatever the target size, branching root or not
+            for size in {1, alpha}:
+                if not maps_edges_onto_edges(g, other):
+                    with pytest.raises(ValueError, match="symmetry 1 is not an automorphism"):
+                        enumerate_maximum_independent_sets(
+                            g, size, symmetries=[symmetries[0], other]
+                        )
+                    rejected += 1
+                with pytest.raises(ValueError, match="symmetry 0 is not a permutation"):
+                    enumerate_maximum_independent_sets(g, size, symmetries=[[0] * g.n])
+        assert rejected > 30
 
 
 class TestStoppedCollect:
@@ -326,6 +436,28 @@ class TestSameTreeAsTheReference:
             assert (got, search.deadline.ticks) == expected
             pruned += expected[1] < reference_clique_search(adj)[1]
         assert pruned >= 30
+
+    def test_orbit_pruned_collect_matches_node_for_node(self):
+        rng = random.Random(15)
+        pruned = fell_back = 0
+        for _ in range(200):
+            n = rng.randint(8, 40)
+            g, sigma = graph_with_automorphism(n, rng.uniform(0.1, 0.9), rng, rng.random() < 0.5)
+            adj = g.complement().adj
+            symmetries = some_powers(rng, sigma)
+            omega = len(reference_clique_search(adj)[0])
+            for target in {omega, max(omega - 1, 1)}:
+                (_, count, _), plain_nodes = reference_clique_search(adj, target)
+                for cap, keep in [(5000, None), (5000, count - 1), (max(count // 2, 1), None)]:
+                    search = _CliqueSearch(adj, 60.0)
+                    got = search.collect(target, cap, keep, symmetries)
+                    expected = reference_clique_search(
+                        adj, target, cap=cap, keep=keep, symmetries=symmetries
+                    )
+                    assert (got, search.deadline.ticks) == expected, (target, cap, keep)
+                    pruned += expected[1] < plain_nodes
+                    fell_back += expected[1] > plain_nodes
+        assert pruned >= 30 and fell_back >= 30
 
 
 class TestEnumeration:
@@ -579,4 +711,20 @@ class TestSearchTreePins:
         adj, symmetries = queen_orbits(side)
         search = _CliqueSearch(adj, 60.0)
         assert len(search.maximise(symmetries=symmetries)) == result
+        assert search.deadline.ticks == nodes
+
+    # alpha and the enumeration on the queen graph itself, pruned by its board maps
+    @pytest.mark.parametrize("side, target, nodes, result", [
+        (8, 8, 275, 92),
+        (9, 9, 1217, 352),
+        (11, None, 5686, 11),
+    ], ids=["queen8_8-collect-orbits", "queen9_9-collect-orbits", "queen11_11-alpha-orbits"])
+    def test_node_count_on_the_board_with_orbits(self, side, target, nodes, result):
+        g = queen_graph(side, side)
+        search = _CliqueSearch(g.complement().adj, 60.0)
+        symmetries = board_symmetries(g)
+        if target is None:
+            assert len(search.maximise(symmetries=symmetries)) == result
+        else:
+            assert search.collect(target, 5000, None, symmetries)[1:] == (result, False)
         assert search.deadline.ticks == nodes
