@@ -136,15 +136,25 @@ def _member_maps(
 ) -> list[tuple[int, ...]]:
     """Each map of the sets' vertices (`sigma[v]` is v's image) as a
     permutation of the member indices: member i goes to its image set.
-    Raises ValueError when an image set is not a member."""
+
+    Raises ValueError unless the map is one-to-one on the sets' union and
+    takes every member onto a member. Such a map permutes the members and
+    keeps which of them meet, so each permutation returned is an
+    automorphism of the intersection graph, and of its complement, by
+    construction: the clique search need not check it again.
+    """
     index = {member: i for i, member in enumerate(mg.members)}
+    union = set().union(*mg.members)
     maps = []
     for k, sigma in enumerate(symmetries):
-        images = (tuple(sorted(sigma[v] for v in member)) for member in mg.members)
         try:
-            maps.append(tuple(index[image] for image in images))
-        except (KeyError, IndexError):
-            raise ValueError(f"symmetry {k} does not map the sets onto themselves") from None
+            one_to_one = len({sigma[v] for v in union}) == len(union)
+            images = tuple(index.get(tuple(sorted(sigma[v] for v in m))) for m in mg.members)
+        except IndexError:
+            one_to_one = False
+        if not one_to_one or None in images:
+            raise ValueError(f"symmetry {k} does not map the sets onto themselves")
+        maps.append(images)
     return maps
 
 
@@ -165,8 +175,9 @@ def max_independent_set(
     permutations of its vertices, that map the family of sets onto itself
     (those of `instances.board_symmetries`, on the family of all maximum
     independent sets). Once exact cover has not settled the stage, each
-    becomes a permutation of the members, and the clique search prunes its
-    root by their orbits (see stable.max_independent_set).
+    becomes a permutation of the members, an automorphism of the
+    intersection graph by construction (_member_maps), and the clique
+    search prunes its root by their orbits (see stable.max_independent_set).
     """
     deadline = _Deadline(time_limit, stride=16)
     sizes = {len(member) for member in mg.members}
@@ -184,7 +195,7 @@ def max_independent_set(
     maps = _member_maps(mg, symmetries)
     left = deadline.limit - time.monotonic()
     if left > 0:
-        res = stable.max_independent_set(mg.to_graph(), left, cap, maps)
+        res = stable._max_independent_set(mg.to_graph(), left, cap, maps, verify=False)
         if res.exact or res.value <= cap:
             return res
     return AlphaResult(cap, False, "cap")

@@ -22,21 +22,35 @@ the whole listing, and runs the plain search instead once that listing
 would pass its count cap or the number of cliques it keeps. Only the root
 prunes this way; the nodes below it do no extra work.
 
-Everything is single threaded and deterministic: vertices are relabeled
-into the smallest-last order of the clique graph (Matula and Beck, 1983,
-the initial order of MCS) and each node branches in descending color, so
-identical inputs and limits produce identical results. Time limits are
-soft; they are checked between branch steps and only flip results to
-inexact/truncated, never change exact outputs.
+Every search is deterministic: vertices are relabeled into the
+smallest-last order of the clique graph (Matula and Beck, 1983, the
+initial order of MCS) and each node branches in descending color, so
+identical inputs and limits produce identical results. Maximise runs in
+one process. Collect's root branches are independent (a count is their
+sum, a listing their union), so it searches them on the CPUs the process
+may run on (os.sched_getaffinity), as the top-of-tree split of McCreesh
+and Prosser's parallel clique search (Algorithms, 2013) does: forked
+workers each take every k-th branch and the caller merges their results in
+branch order, which gives exactly the one-process result. No thread is
+started, and where a thread is alive or the affinity mask is unknown it
+stays in one process. Time limits are soft; they are checked between
+branch steps and only flip results to inexact/truncated, never change
+exact outputs. Only such a stop can depend on the split: it lists some
+subset of the full listing, as a one-process stop does.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import sys
+import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import BinaryIO, NoReturn
 
 from .graph import Graph
 
@@ -114,6 +128,21 @@ class _Deadline:
             raise _Timeout
 
 
+def _workers() -> int:
+    """How many processes collect's root may search on: the CPUs this
+    process may run on, or 1 where that is unknown or a thread is alive
+    (a fork copies only the thread that calls it)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# one root branch's result in a split collect (_CliqueSearch._run): cliques
+# counted, those listed (None once the list was dropped), nodes, and "cap",
+# "time" or None for how the process's run stopped there
+_Record = tuple[int, list[tuple[int, ...]] | None, int, str | None]
+
+
 def _allow_depth(depth: int) -> None:
     """Raise the recursion limit so a search `depth` levels deep fits."""
     needed = depth + 64
@@ -154,15 +183,19 @@ def _smallest_last(adj: Sequence[int]) -> list[int]:
     higher index. Each vertex then has at most degeneracy(G) neighbours
     before it. Vertices are ranked by (-degree, index) and each degree
     bucket is a bitmask over ranks, so the tie rule takes the bucket's
-    highest bit, and the peel costs O(n + m) big-int operations.
+    highest bit, and the peel costs O(n + m) big-int operations. The rows
+    keep their labels (`rank_bit` maps a vertex to its bucket bit), so the
+    search renames each row once, by the final order.
     """
     n = len(adj)
     by_rank = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    rows = _relabel(adj, by_rank)
-    degree = [row.bit_count() for row in rows]
+    rank_bit = [0] * n
+    for r, v in enumerate(by_rank):
+        rank_bit[v] = 1 << r
+    degree = [row.bit_count() for row in adj]
     buckets = [0] * n
-    for r, d in enumerate(degree):
-        buckets[d] |= 1 << r
+    for v, d in enumerate(degree):
+        buckets[d] |= rank_bit[v]
     left = (1 << n) - 1
     peeled: list[int] = []
     d = 0
@@ -170,23 +203,25 @@ def _smallest_last(adj: Sequence[int]) -> list[int]:
         while not buckets[d]:
             d += 1
         r = buckets[d].bit_length() - 1
-        b = 1 << r
-        buckets[d] ^= b
-        left ^= b
-        peeled.append(r)
+        buckets[d] ^= 1 << r
+        v = by_rank[r]
+        left ^= 1 << v
+        peeled.append(v)
         # each neighbour left moves one bucket down, so the least degree
         # left is at least d - 1
-        nbrs = rows[r] & left
+        nbrs = adj[v] & left
         while nbrs:
             b = nbrs & -nbrs
             nbrs ^= b
             u = b.bit_length() - 1
             du = degree[u]
+            b = rank_bit[u]
             buckets[du] ^= b
             buckets[du - 1] |= b
             degree[u] = du - 1
         d = max(d - 1, 0)
-    return [by_rank[r] for r in reversed(peeled)]
+    peeled.reverse()
+    return peeled
 
 
 class _CliqueSearch:
@@ -213,16 +248,19 @@ class _CliqueSearch:
 
     The root of both (_root) drops each candidate's images under the given
     automorphisms from its pool once the candidate is searched; collect
-    then closes what it found under them (_orbit_listing).
+    then closes what it found under them (_orbit_listing). Collect's root
+    branches are independent, so it searches them on several processes
+    when it may (_split) and merges their results in branch order.
 
     Past its deadline, maximise raises _Timeout and leaves in `bound` the
     clique number bound it held, and collect returns what it found, marked
     truncated. The root expands its candidates in descending color, so
     every clique not yet searched when the search stops while expanding
-    root candidate i lies among order[:i + 1] and the unrecorded vertices,
-    whose colors are all at most colors[i], or holds a vertex the root
-    dropped as an image, and is then no larger than the incumbent; the
-    bound is the larger of colors[i] and the incumbent's size.
+    root candidate v lies among v, the candidates after it and the
+    unrecorded vertices, whose colors are all at most v's, or holds a
+    vertex the root dropped as an image, and is then no larger than the
+    incumbent; the bound is the larger of v's color and the incumbent's
+    size.
     """
 
     def __init__(self, adj: Sequence[int], seconds: float):
@@ -251,7 +289,10 @@ class _CliqueSearch:
         self.found: list[tuple[int, ...]] | None = []
 
     def maximise(
-        self, stop: int | None = None, symmetries: Sequence[Sequence[int]] = ()
+        self,
+        stop: int | None = None,
+        symmetries: Sequence[Sequence[int]] = (),
+        verify: bool = True,
     ) -> list[int]:
         """A maximum clique, sorted, in the original labels.
 
@@ -259,10 +300,12 @@ class _CliqueSearch:
         as soon as a clique of that size is found. `symmetries` are
         automorphisms of the graph, each a permutation of its vertices
         (ValueError if one is not): once the root has searched the cliques
-        through v, it drops v's images under them too (see _root).
+        through v, it drops v's images under them too (see _root). With
+        `verify` False they are trusted as given, for a caller that has
+        proven them automorphisms by construction.
         """
         self.stop = self.n if stop is None else stop
-        images = self._orbits(symmetries)
+        images = self._orbits(symmetries, verify)
         pool = (1 << self.n) - 1
         while pool:
             v = (pool & -pool).bit_length() - 1
@@ -293,6 +336,11 @@ class _CliqueSearch:
         under them (_orbit_listing). That listing answers only while it holds
         at most min(cap, keep) cliques; past that the plain search runs on
         the time left, so a capped or count-only result is the plain one.
+
+        The root's branches run on up to _workers() processes (_split), and
+        the result is the one a single process gives: the same cliques,
+        count and flag, and, unless the search stopped, the same node count
+        in `deadline.ticks`. Only a deadline stop may find another subset.
         """
         self.floor = target - 1
         self.leaf_size = target - 2
@@ -310,13 +358,14 @@ class _CliqueSearch:
         return self._labelled(), self.count, truncated
 
     def _search(self, cap: int, keep: int, images: list[int]) -> None:
-        """Run collect's search from an empty count and list: from _root
-        when the root branches, else straight to the root's leaves."""
+        """Run collect's search from an empty count and list: from _root,
+        split across processes, when the root branches, else straight to
+        the root's leaves."""
         self.cap, self.keep = cap, keep
         self.count, self.found = 0, []
         self.stack.clear()
         if self.leaf_size > 0:
-            self._root(images)
+            self._root(images, split=True)
         else:
             self._expand(0, (1 << self.n) - 1)
 
@@ -366,50 +415,71 @@ class _CliqueSearch:
             found.sort()
         return found
 
-    def _orbits(self, symmetries: Sequence[Sequence[int]]) -> list[int]:
+    def _orbits(self, symmetries: Sequence[Sequence[int]], verify: bool = True) -> list[int]:
         """For each vertex in the search's labels, the mask of it and its
-        images under the symmetries, each checked as an automorphism."""
+        images under the symmetries, each checked as an automorphism unless
+        `verify` is False."""
         n, order = self.n, self.order
         position = [0] * n
         for p, v in enumerate(order):
             position[v] = p
         images = [1 << p for p in range(n)]
         for k, sigma in enumerate(symmetries):
-            if sorted(sigma) != list(range(n)):
+            if verify and sorted(sigma) != list(range(n)):
                 raise ValueError(f"symmetry {k} is not a permutation of the {n} vertices")
             sigma = [position[sigma[v]] for v in order]
-            if not is_automorphism(self.adj, sigma):
+            if verify and not is_automorphism(self.adj, sigma):
                 raise ValueError(f"symmetry {k} is not an automorphism of the graph")
             for p, q in enumerate(sigma):
                 images[p] |= 1 << q
         return images
 
-    def _color(self, pool: int, skip: int) -> tuple[list[int], list[int]]:
-        """The greedy coloring of pool: the vertices colored above skip, in
-        the order they were colored, and their colors."""
+    def _color(self, pool: int, skip: int) -> list[tuple[int, int]]:
+        """The greedy coloring of pool: each class above skip as (color,
+        mask), in ascending color. The classes at or below skip are colored
+        first, so the later colors stay the same, but not recorded."""
         non = self.non
-        order: list[int] = []
-        colors: list[int] = []
+        classes: list[tuple[int, int]] = []
         color = 0
-        rest = pool
-        while rest:
+        while pool:
             color += 1
-            avail = rest
+            avail = rest = pool
             while avail:
                 b = avail & -avail
-                v = b.bit_length() - 1
-                if color > skip:
-                    order.append(v)
-                    colors.append(color)
-                avail &= non[v]
+                avail &= non[b.bit_length() - 1]
                 rest ^= b
-        return order, colors
+            if color > skip:
+                classes.append((color, pool ^ rest))
+            pool = rest
+        return classes
 
-    def _root(self, images: list[int]) -> None:
+    def _branches(self, images: list[int]) -> Iterator[tuple[int, int, int]]:
+        """The root's branches in the order it searches them, as (color,
+        vertex, pool below it): classes from the highest color down, each
+        class from its highest vertex down, as _expand walks them. Once a
+        candidate is yielded, it and its images (`images[v]`, v's bit
+        included) leave the pool, so an image later in the order is skipped.
+        A candidate with an empty pool below it is no branch: maximise's
+        greedy seed makes the floor at least 1, and collect's is target - 1
+        >= 2, so it cannot raise the floor or make a clique of the target."""
+        pool = (1 << self.n) - 1
+        adj = self.adj
+        for color, cls in reversed(self._color(pool, self.floor)):
+            while cls:
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                if pool >> v & 1:
+                    child = pool & adj[v]
+                    if child:
+                        yield color, v, child
+                    pool &= ~images[v]
+
+    def _root(self, images: list[int], split: bool = False) -> None:
         """The root of both modes: branch on each candidate as _expand does,
-        then drop it and its images (`images[v]`, v's bit included) from the
-        pool. With no maps (`images[v]` is v's bit alone) it is _expand's
-        root; collect comes here only when its root branches.
+        then drop it and its images from the pool (_branches). With no maps
+        (`images[v]` is v's bit alone) it is _expand's root; collect comes
+        here only when its root branches, and with `split` its branches may
+        run on several processes (_split).
 
         Dropping an image is safe: if an automorphism maps v to w, its
         inverse maps each clique through w onto one of the same size through
@@ -422,27 +492,184 @@ class _CliqueSearch:
         stopped search's bound holds as it is.
         """
         self.deadline.check()
-        pool = (1 << self.n) - 1
-        # maximise's greedy seed makes the floor at least 1, and collect's is
-        # target - 1 >= 2, so a candidate with an empty child cannot raise it
-        order, colors = self._color(pool, self.floor)
-        adj, stack = self.adj, self.stack
+        branches = self._branches(images)
+        if split:
+            branches = list(branches)
+            k = min(_workers(), len(branches))
+            if k > 1:
+                self._split(branches, k)
+                return
+        self._walk(branches)
+
+    def _walk(self, branches: Iterable[tuple[int, int, int]]) -> None:
+        """Search the root's branches in turn in this process."""
+        stack = self.stack
+        color = self.n
         try:
-            for i in range(len(order) - 1, -1, -1):
-                if colors[i] <= self.floor:
+            for color, v, child in branches:
+                if color <= self.floor:
                     return
-                v = order[i]
-                if pool >> v & 1:
-                    stack.append(v)
-                    child = pool & adj[v]
-                    if child:
-                        self._expand(1, child)
-                    stack.pop()
-                    pool &= ~images[v]
+                stack.append(v)
+                self._expand(1, child)
+                stack.pop()
         except _Timeout:
             # runs only on the way out of a stop, so no node pays for the bound
-            self.bound = max(self.floor, colors[i])
+            self.bound = max(self.floor, color)
             raise
+
+    def _split(self, branches: list[tuple[int, int, int]], k: int) -> None:
+        """Collect's root on k processes, with the result of one.
+
+        Worker w (1 <= w < k), a fork, searches branches[w::k] and this
+        process branches[::k], each with one running count (_run), so each
+        stops once its own count passes the cap. Each worker then sends one
+        record per branch down its pipe, and _merge reads them in branch
+        order. SIGINT is held while a worker is forked, so every worker
+        forked is in `pids`, and every one is killed and reaped on the way
+        out, whatever the way out.
+        """
+        base = self.deadline.ticks
+        pids: list[int] = []
+        pipes: list[BinaryIO] = []
+        try:
+            for w in range(1, k):
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    read, write = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(read)
+                        os.close(write)
+                        raise
+                    if not pid:
+                        # the worker leaves SIGINT held: this process ends it
+                        self._serve(branches[w::k], write, [read] + [p.fileno() for p in pipes])
+                    pids.append(pid)
+                    os.close(write)
+                    pipes.append(os.fdopen(read, "rb"))
+                except OSError:
+                    break  # no process or pipe to spare: this process searches the rest
+                finally:
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+            streams = [iter(self._run(branches[::k]))]
+            for w in range(1, k):
+                pipe = pipes[w - 1] if w <= len(pipes) else None
+                streams.append(self._replies(pipe, branches[w::k]))
+            self._merge(streams, len(branches), base)
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+    def _serve(self, branches: list[tuple[int, int, int]], write: int, unused: list[int]) -> NoReturn:
+        """A worker's whole life: close the parent's pipe ends it inherited,
+        search its branches, write their records to the pipe as plain
+        pickled tuples, and leave by os._exit, so no exception, buffer or
+        exit handler of the parent's runs here."""
+        code = 1
+        try:
+            for fd in unused:
+                os.close(fd)
+            records = self._run(branches)
+            with os.fdopen(write, "wb") as pipe:
+                for record in records:
+                    pickle.dump(record, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _run(self, branches: Sequence[tuple[int, int, int]]) -> list[_Record]:
+        """Search branches in turn from an empty count and list, as one
+        process searches the whole root, and return one record per branch
+        searched: (cliques counted, those listed or None once the list was
+        dropped, nodes, stop). stop is "cap" when the running count passed
+        the cap, "time" past the deadline, else None; a stop ends the run."""
+        self.count, self.found = 0, []
+        ticks = self.deadline.ticks
+        marks = []
+        for branch in branches:
+            self.stack.clear()
+            stop = None
+            try:
+                self._walk((branch,))
+            except _Done:
+                stop = "cap"
+            except _Timeout:
+                stop = "time"
+            size = 0 if self.found is None else len(self.found)
+            marks.append((self.count, size, self.deadline.ticks, stop))
+            if stop:
+                break
+        self.stack.clear()
+        found = self.found
+        records = []
+        count = size = 0
+        for c, s, t, stop in marks:
+            records.append((c - count, None if found is None else found[size:s], t - ticks, stop))
+            count, size, ticks = c, s, t
+        return records
+
+    def _replies(
+        self, pipe: BinaryIO | None, branches: list[tuple[int, int, int]]
+    ) -> Iterator[_Record]:
+        """A worker's records, read as the merge asks for them. If the
+        worker died before it sent them all, or was never started (pipe
+        None), this process searches the branches it did not report."""
+        for done in range(len(branches)):
+            try:
+                record = pickle.load(pipe) if pipe else None
+            except (EOFError, pickle.UnpicklingError):  # the stream was cut short
+                record = None
+            if record is None:
+                yield from self._run(branches[done:])
+                return
+            yield record
+            if record[3]:
+                return
+
+    def _merge(self, streams: list[Iterator[_Record]], total: int, base: int) -> None:
+        """Fold the records of `total` branches in branch order, branch j
+        from streams[j % k], into the count and list one process would hold:
+        stop at the first branch where the count passes the cap or a process
+        stopped at its own cap (its count was clamped, so the sum can miss
+        that), and drop the list once the count passes keep. Raises _Done or
+        _Timeout as one process would have; `deadline.ticks` becomes base
+        plus the nodes of every branch merged."""
+        cap, keep, k = self.cap, self.keep, len(streams)
+        count = nodes = 0
+        merged: list[tuple[int, ...]] | None = []
+        capped = timed_out = False
+        for j in range(total):
+            # None: that process stopped at an earlier branch of its own
+            record = next(streams[j % k], None)
+            if record is None:
+                continue
+            counted, cliques, ticks, stop = record
+            count += counted
+            nodes += ticks
+            capped = count > cap or stop == "cap"
+            if capped:
+                count = cap
+            if merged is not None:
+                if cliques is None or count > keep:
+                    merged = None
+                else:
+                    merged += cliques[: cap - len(merged)]
+            timed_out = timed_out or stop == "time"
+            if capped:
+                break
+        self.count, self.found = count, merged
+        self.deadline.ticks = base + nodes
+        if capped:
+            raise _Done
+        if timed_out:
+            raise _Timeout
 
     def _expand(self, size: int, pool: int) -> None:
         self.deadline.check()
@@ -451,24 +678,26 @@ class _CliqueSearch:
             return
         # a vertex colored at most floor - size is pruned before it could
         # branch, and the floor only rises: color it, but do not record it
-        order, colors = self._color(pool, self.floor - size)
         adj, stack = self.adj, self.stack
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= self.floor:
-                return
-            v = order[i]
-            stack.append(v)
-            child = pool & adj[v]
-            if child:
-                self._expand(size + 1, child)
-            elif size + 1 > self.floor:
-                # only maximise gets here: collect lists its leaves in _leaves
-                self.floor = size + 1
-                self.best = stack.copy()
-                if self.floor >= self.stop:
-                    raise _Done
-            stack.pop()
-            pool ^= 1 << v
+        for color, cls in reversed(self._color(pool, self.floor - size)):
+            while cls:
+                if size + color <= self.floor:
+                    return
+                v = cls.bit_length() - 1
+                b = 1 << v
+                cls ^= b
+                stack.append(v)
+                child = pool & adj[v]
+                if child:
+                    self._expand(size + 1, child)
+                elif size + 1 > self.floor:
+                    # only maximise gets here: collect lists its leaves in _leaves
+                    self.floor = size + 1
+                    self.best = stack.copy()
+                    if self.floor >= self.stop:
+                        raise _Done
+                stack.pop()
+                pool ^= b
 
     def _leaves(self, pool: int) -> None:
         """Collect mode, one or two vertices short of the target: count the
@@ -530,13 +759,25 @@ def max_independent_set(
     prune the search's root by orbits; each is checked as an automorphism
     of g first, and ValueError is raised for one that is not.
     """
+    return _max_independent_set(g, time_limit, stop, symmetries)
+
+
+def _max_independent_set(
+    g: Graph,
+    time_limit: float,
+    stop: int | None,
+    symmetries: Sequence[Sequence[int]],
+    verify: bool = True,
+) -> AlphaResult:
+    """max_independent_set; with `verify` False the symmetries are trusted
+    as automorphisms, for a caller that proved them so by construction."""
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
     if stop is not None and stop < 1:
         raise ValueError("stop must be at least 1")
     search = _CliqueSearch(g.complement().adj, time_limit)
     try:
-        witness = search.maximise(stop, symmetries)
+        witness = search.maximise(stop, symmetries, verify)
     except _Timeout:
         return AlphaResult(search.bound, False, "bnb-bound")
     return AlphaResult(
@@ -565,6 +806,8 @@ def enumerate_maximum_independent_sets(
     `symmetries`, permutations of g's vertices checked as automorphisms as
     in max_independent_set, let the search list the sets by orbits while
     at most min(count cap, keep) of them exist; the result is the same.
+    The search's root branches run on the CPUs in the process's affinity
+    mask, and only a time-limit stop depends on how many there are.
     """
     if not 1 <= target_size <= g.n:
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")

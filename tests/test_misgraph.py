@@ -15,8 +15,12 @@ from bruteforce import (
 from sumcol import PipelineConfig, compute_bounds_pipeline, compare_report, get_row
 from sumcol.bounds import compute_m
 from sumcol.instances import board_symmetries, queen_graph
-from sumcol.misgraph import MisGraph, alpha_tilde, build_mis_graph
-from sumcol.stable import enumerate_maximum_independent_sets, max_independent_set
+from sumcol.misgraph import MisGraph, _member_maps, alpha_tilde, build_mis_graph
+from sumcol.stable import (
+    enumerate_maximum_independent_sets,
+    is_automorphism,
+    max_independent_set,
+)
 
 
 def random_family(rng, count, universe, sizes):
@@ -172,6 +176,36 @@ class TestAlphaTildeAgainstBruteForce:
         for bad in ([1, 0, 2, 3, 4], [0, 1, 2]):
             with pytest.raises(ValueError, match="symmetry 1 does not map the sets onto themselves"):
                 alpha_tilde(mg, 30.0, [[0, 1, 2, 3, 4], bad])
+
+    def test_a_map_that_merges_two_vertices_raises(self):
+        # every member goes onto a member, but 0 and 2 share an image, as do
+        # 1 and 3, so (0, 1), (2, 3) and (0, 3) would all go to (0, 1)
+        mg = build_mis_graph([(0, 1), (2, 3), (0, 3), (4, 5, 6)])
+        merge = [0, 1, 0, 1, 4, 5, 6]
+        with pytest.raises(ValueError, match="symmetry 1 does not map the sets onto themselves"):
+            alpha_tilde(mg, 30.0, [list(range(7)), merge])
+
+    def test_member_maps_are_automorphisms_by_construction(self):
+        # the kernel takes the member maps without checking them again
+        rng = random.Random(6)
+        checked = 0
+        for _ in range(200):
+            g, sigma = graph_with_automorphism(
+                rng.randint(4, 12), rng.uniform(0.1, 0.7), rng, rng.random() < 0.5
+            )
+            mg = build_mis_graph(brute_alpha_and_sets(g)[1])
+            for perm in _member_maps(mg, [sigma]):
+                assert sorted(perm) == list(range(mg.n))
+                assert is_automorphism(mg.adj, perm)
+                assert is_automorphism(mg.to_graph().complement().adj, perm)
+                checked += perm != tuple(range(mg.n))
+        for side in (5, 6, 7, 8):
+            g = queen_graph(side, side)
+            mg = build_mis_graph(queen_sets(side))
+            for perm in _member_maps(mg, board_symmetries(g)):
+                assert is_automorphism(mg.adj, perm)
+                checked += 1
+        assert checked >= 60
 
     def test_queen_rows_keep_alpha_tilde_under_the_board_maps(self):
         for side in (5, 6, 7, 8, 9):

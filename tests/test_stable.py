@@ -1,6 +1,10 @@
 """Stability number solver and maximum independent set enumeration."""
 
+import os
+import pickle
 import random
+import signal
+import threading
 
 import pytest
 
@@ -153,6 +157,14 @@ class TestMaxIndependentSet:
         assert res.method == "bnb-bound"
         assert res.value <= greedy_coloring_alpha_bar(g) < degree_rule_alpha_bar(g)
         assert res.witness is None
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Search collect's root in one process. A split search counts its
+    nodes in each process, so a test that counts the nodes of a stopped
+    search, or stops a stub deadline at each of them, runs at one worker."""
+    monkeypatch.setattr(stable, "_workers", lambda: 1)
 
 
 class _StopAt:
@@ -322,6 +334,7 @@ class TestOrbitListing:
                     fell_back += size > 2 and total > limit
         assert fell_back > 100
 
+    @pytest.mark.usefixtures("one_worker")
     def test_every_stop_lists_a_part_of_the_full_listing(self, monkeypatch):
         rng = random.Random(53)
         stops = 0
@@ -375,6 +388,7 @@ class TestOrbitListing:
 
 
 class TestStoppedCollect:
+    @pytest.mark.usefixtures("one_worker")
     def test_every_stop_lists_a_part_of_the_full_listing(self, monkeypatch):
         rng = random.Random(12)
         stops = 0
@@ -401,6 +415,7 @@ class TestSameTreeAsTheReference:
     """The kernel against tests/bruteforce.py's plain kernel, which colors
     the same way but records every vertex: same results, same node counts."""
 
+    @pytest.mark.usefixtures("one_worker")
     def test_maximise_and_collect_match_node_for_node(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -437,6 +452,7 @@ class TestSameTreeAsTheReference:
             pruned += expected[1] < reference_clique_search(adj)[1]
         assert pruned >= 30
 
+    @pytest.mark.usefixtures("one_worker")
     def test_orbit_pruned_collect_matches_node_for_node(self):
         rng = random.Random(15)
         pruned = fell_back = 0
@@ -458,6 +474,217 @@ class TestSameTreeAsTheReference:
                     pruned += expected[1] < plain_nodes
                     fell_back += expected[1] > plain_nodes
         assert pruned >= 30 and fell_back >= 30
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSplitRoot:
+    """collect's root split across processes, with _workers patched to 2
+    and 3: the one-worker result on the graphs of the node-for-node and
+    orbit-listing tests and on the queen boards, the one-worker node count
+    whenever the search did not stop, and no worker left behind."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """The number of roots split so far, as a one-item list."""
+        calls = [0]
+        split = _CliqueSearch._split
+
+        def counted(search, branches, k):
+            calls[0] += 1
+            return split(search, branches, k)
+
+        monkeypatch.setattr(_CliqueSearch, "_split", counted)
+        return calls
+
+    @staticmethod
+    def at_each_worker_count(monkeypatch, adj, run):
+        """run(search) and the search's node count at 1, 2 and 3 workers."""
+        results = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(stable, "_workers", lambda k=k: k)
+            search = _CliqueSearch(adj, 60.0)
+            results.append((run(search), search.deadline.ticks))
+        return results
+
+    # each split costs a fork, a few ms: these take the first 60 and 100
+    # graphs of the tests they follow, which still split over 1000 roots
+
+    def test_reference_graphs_give_the_one_worker_result(self, monkeypatch, splits):
+        # the graphs and (cap, keep) cases of test_maximise_and_collect_match_node_for_node
+        rng = random.Random(13)
+        for _ in range(60):
+            g = random_graph(rng.randint(8, 40), rng.uniform(0.1, 0.9), rng)
+            adj = g.complement().adj
+            omega = len(_CliqueSearch(adj, 60.0).maximise())
+            for target in {omega, max(omega - 1, 1)}:
+                count = _CliqueSearch(adj, 60.0).collect(target, 5000)[1]
+                for cap, keep in [
+                    (5000, None), (5000, count - 1), (5000, count + 1),
+                    (max(count // 2, 1), None), (max(count // 2, 1), 0),
+                ]:
+                    one, *split = self.at_each_worker_count(
+                        monkeypatch, adj, lambda s: s.collect(target, cap, keep)
+                    )
+                    for got in split:
+                        assert got[0] == one[0], (target, cap, keep)
+                        stopped = one[0][2]
+                        assert stopped or got[1] == one[1], (target, cap, keep)
+        assert splits[0] > 1000
+
+    def test_orbit_listing_graphs_give_the_one_worker_result(self, monkeypatch, splits):
+        # the graphs of test_same_listing_as_the_plain_search_and_the_brute_force
+        rng = random.Random(51)
+        for _ in range(100):
+            g, symmetries = TestOrbitListing.planted(rng)
+            alpha, _ = brute_alpha_and_sets(g)
+            adj = g.complement().adj
+            for size in {alpha, max(alpha - 1, 1)}:
+                total = count_sets_of_size(g, size)
+                for cap, keep in [(5000, None), (total, total - 1), (max(total // 2, 1), None)]:
+                    for maps in ((), symmetries):
+                        one, *split = self.at_each_worker_count(
+                            monkeypatch, adj, lambda s: s.collect(size, cap, keep, maps)
+                        )
+                        for got in split:
+                            assert got[0] == one[0], (size, cap, keep, maps)
+                        # the orbit search may stop at the limit and fall back
+                        if (cap, keep) == (5000, None):
+                            assert all(got[1] == one[1] for got in split)
+        assert splits[0] > 1000
+
+    @pytest.mark.parametrize("side", [8, 9, 10, 11])
+    def test_queen_boards_give_the_one_worker_result(self, monkeypatch, splits, side):
+        g = queen_graph(side, side)
+        adj, maps = g.complement().adj, board_symmetries(g)
+        # the pipeline's call (the board maps, keep 5000), the plain listing,
+        # a count cap inside the listing, and a count past keep
+        for cap, keep, symmetries in [
+            (5000, 5000, maps), (5000, None, ()), (side * 10, None, ()), (5000, 10, ()),
+        ]:
+            one, *split = self.at_each_worker_count(
+                monkeypatch, adj, lambda s: s.collect(side, cap, keep, symmetries)
+            )
+            for got in split:
+                assert got[0] == one[0]
+                assert one[0][2] or got[1] == one[1]
+        assert splits[0] >= 8
+
+    def test_a_stub_deadline_that_stops_every_process_lists_a_subset(self, monkeypatch, splits):
+        rng = random.Random(12)
+        stops = truncated = 0
+        while stops < 800:
+            g = random_graph(rng.randint(8, 18), rng.uniform(0.1, 0.9), rng)
+            alpha, sets = brute_alpha_and_sets(g)
+            if alpha < 3:
+                continue  # collect's root branches only for targets of 3 or more
+            full = set(sets)
+            for k in (2, 3):
+                monkeypatch.setattr(stable, "_workers", lambda k=k: k)
+                for stop in range(2, 12):
+                    # each process counts checks on its own copy: the root's
+                    # is the first, so the second is each process's first node
+                    monkeypatch.setattr(stable, "_Deadline", lambda seconds: _StopAt(stop))
+                    res = enumerate_maximum_independent_sets(g, alpha)
+                    assert len(res.sets) == res.count <= len(full)
+                    assert set(res.sets) <= full and list(res.sets) == sorted(res.sets)
+                    assert res.truncated or res.count == len(full)
+                    assert res.truncated or stop > 2
+                    stops += 1
+                    truncated += res.truncated
+        assert splits[0] > 200 and truncated > 200
+
+    def test_no_worker_outlives_a_call(self, monkeypatch, splits):
+        monkeypatch.setattr(stable, "_workers", lambda: 2)
+        g = queen_graph(9, 9)
+        full = enumerate_maximum_independent_sets(g, 9)
+        assert (full.count, full.truncated) == (352, False) and no_child_left()
+        capped = enumerate_maximum_independent_sets(g, 9, Budget(count_cap=100))
+        assert (capped.count, capped.truncated, len(capped.sets)) == (100, True, 100)
+        assert no_child_left()
+        stopped = enumerate_maximum_independent_sets(
+            queen_graph(8, 12), 8, Budget(time_limit=1e-3), keep=0
+        )
+        assert stopped.truncated and 0 < stopped.count < 195270
+        assert no_child_left()
+        assert splits[0] == 3
+
+    def test_a_killed_worker_leaves_its_branches_to_the_caller(self, monkeypatch, splits):
+        parent = os.getpid()
+        run, dump = _CliqueSearch._run, pickle.dump
+        shares_here = []  # the branch lists this process searched
+
+        def counted(search, branches):
+            if os.getpid() == parent:
+                shares_here.append(branches)
+            return run(search, branches)
+
+        def killed_before_searching(search, branches):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return counted(search, branches)
+
+        sent = []  # each worker's own copy starts empty
+
+        def killed_after_one_record(record, pipe, *args):
+            if sent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(record)
+            dump(record, pipe, *args)
+            pipe.flush()
+
+        g = queen_graph(9, 9)
+        monkeypatch.setattr(stable, "_workers", lambda: 1)
+        one = enumerate_maximum_independent_sets(g, 9)
+        for k in (2, 3):
+            monkeypatch.setattr(stable, "_workers", lambda k=k: k)
+            for run_as, dump_as in ((killed_before_searching, dump), (counted, killed_after_one_record)):
+                shares_here.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(_CliqueSearch, "_run", run_as)
+                    m.setattr(stable.pickle, "dump", dump_as)
+                    assert enumerate_maximum_independent_sets(g, 9) == one
+                # its own share, then what each of the k - 1 dead workers left
+                assert len(shares_here) == k
+                assert no_child_left()
+        assert splits[0] == 4
+
+    def test_a_failed_fork_leaves_its_branches_to_the_caller(self, monkeypatch, splits):
+        g = queen_graph(9, 9)
+        monkeypatch.setattr(stable, "_workers", lambda: 1)
+        one = enumerate_maximum_independent_sets(g, 9)
+        fork = os.fork
+        forks = [0]
+
+        def second_fails():
+            forks[0] += 1
+            if forks[0] == 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(stable.os, "fork", second_fails)
+        monkeypatch.setattr(stable, "_workers", lambda: 3)
+        assert enumerate_maximum_independent_sets(g, 9) == one
+        assert forks[0] == 2 and splits[0] == 1
+        assert no_child_left()
+
+    def test_one_worker_while_a_thread_is_alive(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert stable._workers() == 1
+        finally:
+            done.set()
+            thread.join()
+        assert stable._workers() == len(os.sched_getaffinity(0))
 
 
 class TestEnumeration:
