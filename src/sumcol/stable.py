@@ -25,29 +25,37 @@ prunes this way; the nodes below it do no extra work.
 Every search is deterministic: vertices are relabeled into the
 smallest-last order of the clique graph (Matula and Beck, 1983, the
 initial order of MCS) and each node branches in descending color, so
-identical inputs and limits produce identical results. Maximise runs in
-one process. Collect's root branches are independent (a count is their
-sum, a listing their union), so it searches them on the CPUs the process
-may run on (os.sched_getaffinity), as the top-of-tree split of McCreesh
-and Prosser's parallel clique search (Algorithms, 2013) does: forked
-workers each take every k-th branch and the caller merges their results in
-branch order, which gives exactly the one-process result. No thread is
-started, and where a thread is alive or the affinity mask is unknown it
-stays in one process. Time limits are soft; they are checked between
-branch steps and only flip results to inexact/truncated, never change
-exact outputs. Only such a stop can depend on the split: it lists some
-subset of the full listing, as a one-process stop does.
+identical inputs and limits produce identical results. Once a search has
+spent about a fork's worth of nodes, the root's remaining branches run on
+the CPUs the process may run on (os.sched_getaffinity), as the
+top-of-tree split of McCreesh and Prosser's parallel clique search
+(Algorithms, 2013) does: forked workers each take every k-th branch and
+the caller merges their results in branch order, which gives exactly the
+one-process result. Collect's branches are independent (a count is their
+sum, a listing their union). A maximise branch's outcome depends only on
+the floor it starts from, so every process searches from the floor of the
+split, and the merge accepts the results in order up to the first branch
+that raised it, then splits the branches after it again at the new floor:
+a shared incumbent would make the result depend on timing (McCreesh and
+Prosser, ACM TOPC, 2015). No thread is started, and where a thread is
+alive or the affinity mask is unknown it stays in one process. Time
+limits are soft; they are checked between branch steps and only flip
+results to inexact/truncated, never change exact outputs. Only such a
+stop can depend on the split: collect lists some subset of the full
+listing, and maximise reports another bound at least alpha, as a
+one-process stop may.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
 import sys
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import BinaryIO, NoReturn
@@ -129,18 +137,35 @@ class _Deadline:
 
 
 def _workers() -> int:
-    """How many processes collect's root may search on: the CPUs this
-    process may run on, or 1 where that is unknown or a thread is alive
-    (a fork copies only the thread that calls it)."""
+    """How many processes a root may search on: the CPUs this process may
+    run on, or 1 where that is unknown or a thread is alive (a fork copies
+    only the thread that calls it)."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
 
-# one root branch's result in a split collect (_CliqueSearch._run): cliques
-# counted, those listed (None once the list was dropped), nodes, and "cap",
-# "time" or None for how the process's run stopped there
-_Record = tuple[int, list[tuple[int, ...]] | None, int, str | None]
+# The root searches its branches in this process until the search has spent
+# _GATE nodes, and splits only the branches left after that. A split costs
+# one fork, pipe and reap per worker: 2.4 ms from a 22 MiB process and 3.8 ms
+# from a 100 MiB one on a 2-core x86-64 VM (CPython 3.11), while a node costs
+# 4-13 us there (about 5 us on random graphs of 20-120 vertices, 7.5 us on
+# queen10_10's 724-vertex disjointness graph, 13 us on a G(125, 0.1)
+# complement). Walking until the nodes spent cost about one fork before
+# paying for one is the ski-rental rule: a search that ends sooner never
+# forks, and one that goes on spends at most about twice what the better
+# choice in hindsight would. 2.5 ms / 5 us = 500 nodes.
+_GATE = 500
+
+# a root branch: (color, vertex, pool below it)
+_Branch = tuple[int, int, int]
+
+# one root branch's result in a split search (_CliqueSearch._run): for
+# collect, the cliques counted and those listed (None once the list was
+# dropped); for maximise, the floor after the branch and the clique that
+# raised it (None if none). Then the nodes, and "done" (the count cap or
+# `stop`), "time" or None for how the process's run stopped there
+_Record = tuple[int, list | None, int, str | None]
 
 
 def _allow_depth(depth: int) -> None:
@@ -248,9 +273,11 @@ class _CliqueSearch:
 
     The root of both (_root) drops each candidate's images under the given
     automorphisms from its pool once the candidate is searched; collect
-    then closes what it found under them (_orbit_listing). Collect's root
-    branches are independent, so it searches them on several processes
-    when it may (_split) and merges their results in branch order.
+    then closes what it found under them (_orbit_listing). Past the work
+    gate (_GATE nodes), the root searches its remaining branches on several
+    processes when it may (_split) and merges their results in branch
+    order: collect's as they are, maximise's up to the first branch that
+    raised the floor, after which it splits the rest again.
 
     Past its deadline, maximise raises _Timeout and leaves in `bound` the
     clique number bound it held, and collect returns what it found, marked
@@ -260,7 +287,10 @@ class _CliqueSearch:
     unrecorded vertices, whose colors are all at most v's, or holds a
     vertex the root dropped as an image, and is then no larger than the
     incumbent; the bound is the larger of v's color and the incumbent's
-    size.
+    size. A split search stops in the first branch, in order, that has no
+    finished record: every branch before it ended at the incumbent's size
+    and every clique not searched lies in it or after it, so the same
+    bound holds with v that branch's candidate.
     """
 
     def __init__(self, adj: Sequence[int], seconds: float):
@@ -287,6 +317,7 @@ class _CliqueSearch:
         self.keep = 0
         self.count = 0
         self.found: list[tuple[int, ...]] | None = []
+        self.collecting = False
 
     def maximise(
         self,
@@ -303,6 +334,12 @@ class _CliqueSearch:
         through v, it drops v's images under them too (see _root). With
         `verify` False they are trusted as given, for a caller that has
         proven them automorphisms by construction.
+
+        Past the work gate the root's branches run on up to _workers()
+        processes (_split), and the result is the one a single process
+        gives: the same clique and, unless the deadline stopped the search,
+        the same node count in `deadline.ticks`. A deadline stop may leave
+        another bound in `bound`, still at least the clique number.
         """
         self.stop = self.n if stop is None else stop
         images = self._orbits(symmetries, verify)
@@ -337,11 +374,13 @@ class _CliqueSearch:
         at most min(cap, keep) cliques; past that the plain search runs on
         the time left, so a capped or count-only result is the plain one.
 
-        The root's branches run on up to _workers() processes (_split), and
-        the result is the one a single process gives: the same cliques,
+        Past the work gate the root's branches run on up to _workers()
+        processes (_split), and the result is the one a single process
+        gives: the same cliques,
         count and flag, and, unless the search stopped, the same node count
         in `deadline.ticks`. Only a deadline stop may find another subset.
         """
+        self.collecting = True
         self.floor = target - 1
         self.leaf_size = target - 2
         keep = cap if keep is None else keep
@@ -359,13 +398,13 @@ class _CliqueSearch:
 
     def _search(self, cap: int, keep: int, images: list[int]) -> None:
         """Run collect's search from an empty count and list: from _root,
-        split across processes, when the root branches, else straight to
-        the root's leaves."""
+        which may split it across processes, when the root branches, else
+        straight to the root's leaves."""
         self.cap, self.keep = cap, keep
         self.count, self.found = 0, []
         self.stack.clear()
         if self.leaf_size > 0:
-            self._root(images, split=True)
+            self._root(images)
         else:
             self._expand(0, (1 << self.n) - 1)
 
@@ -453,7 +492,7 @@ class _CliqueSearch:
             pool = rest
         return classes
 
-    def _branches(self, images: list[int]) -> Iterator[tuple[int, int, int]]:
+    def _branches(self, images: list[int]) -> Iterator[_Branch]:
         """The root's branches in the order it searches them, as (color,
         vertex, pool below it): classes from the highest color down, each
         class from its highest vertex down, as _expand walks them. Once a
@@ -474,12 +513,13 @@ class _CliqueSearch:
                         yield color, v, child
                     pool &= ~images[v]
 
-    def _root(self, images: list[int], split: bool = False) -> None:
+    def _root(self, images: list[int]) -> None:
         """The root of both modes: branch on each candidate as _expand does,
         then drop it and its images from the pool (_branches). With no maps
         (`images[v]` is v's bit alone) it is _expand's root; collect comes
-        here only when its root branches, and with `split` its branches may
-        run on several processes (_split).
+        here only when its root branches. The branches are searched in this
+        process until the search has spent _GATE nodes, and those left then
+        run on several processes when there are CPUs to spare (_split).
 
         Dropping an image is safe: if an automorphism maps v to w, its
         inverse maps each clique through w onto one of the same size through
@@ -492,43 +532,51 @@ class _CliqueSearch:
         stopped search's bound holds as it is.
         """
         self.deadline.check()
-        branches = self._branches(images)
-        if split:
-            branches = list(branches)
+        branches = list(self._branches(images))
+        while branches:
+            branches = self._walk(branches, _GATE)
             k = min(_workers(), len(branches))
-            if k > 1:
-                self._split(branches, k)
+            if k < 2:
+                self._walk(branches)
                 return
-        self._walk(branches)
+            branches = self._split(branches, k)
 
-    def _walk(self, branches: Iterable[tuple[int, int, int]]) -> None:
-        """Search the root's branches in turn in this process."""
+    def _walk(self, branches: list[_Branch], gate: float = math.inf) -> list[_Branch]:
+        """Search the root's branches in turn in this process while the
+        search has spent fewer than `gate` nodes, and return those left that
+        can still beat the floor (in descending color, a prefix of them)."""
         stack = self.stack
-        color = self.n
-        try:
-            for color, v, child in branches:
-                if color <= self.floor:
-                    return
-                stack.append(v)
+        for i, (color, v, child) in enumerate(branches):
+            if color <= self.floor:
+                break
+            if self.deadline.ticks >= gate:
+                return [b for b in branches[i:] if b[0] > self.floor]
+            stack.append(v)
+            try:
                 self._expand(1, child)
-                stack.pop()
-        except _Timeout:
-            # runs only on the way out of a stop, so no node pays for the bound
-            self.bound = max(self.floor, color)
-            raise
+            except _Timeout:
+                # runs only on the way out of a stop, so no node pays for the bound
+                self.bound = max(self.floor, color)
+                raise
+            stack.pop()
+        return []
 
-    def _split(self, branches: list[tuple[int, int, int]], k: int) -> None:
-        """Collect's root on k processes, with the result of one.
+    def _split(self, branches: list[_Branch], k: int) -> list[_Branch]:
+        """The given root branches on k processes, with the result of one;
+        for maximise, the branches still to search once a branch raised the
+        floor (the search goes on from there at the new floor), else [].
 
         Worker w (1 <= w < k), a fork, searches branches[w::k] and this
-        process branches[::k], each with one running count (_run), so each
-        stops once its own count passes the cap. Each worker then sends one
-        record per branch down its pipe, and _merge reads them in branch
-        order. SIGINT is held while a worker is forked, so every worker
-        forked is in `pids`, and every one is killed and reaped on the way
-        out, whatever the way out.
+        process branches[::k] (_run), each branch from the floor the split
+        started at. A worker sends one record per branch down its pipe, and
+        the caller reads them in branch order: _merge for collect, whose
+        branches are independent, and _merge_floor for maximise, whose
+        records hold only until a branch raises the floor. SIGINT is held
+        while a worker is forked, so every worker forked is in `pids`, and
+        every one is killed and reaped on the way out, whatever the way out.
         """
-        base = self.deadline.ticks
+        base, floor = self.deadline.ticks, self.floor
+        walked = self.count, self.found
         pids: list[int] = []
         pipes: list[BinaryIO] = []
         try:
@@ -544,7 +592,7 @@ class _CliqueSearch:
                         raise
                     if not pid:
                         # the worker leaves SIGINT held: this process ends it
-                        self._serve(branches[w::k], write, [read] + [p.fileno() for p in pipes])
+                        self._serve(branches[w::k], floor, write, [read] + [p.fileno() for p in pipes])
                     pids.append(pid)
                     os.close(write)
                     pipes.append(os.fdopen(read, "rb"))
@@ -552,11 +600,19 @@ class _CliqueSearch:
                     break  # no process or pipe to spare: this process searches the rest
                 finally:
                     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-            streams = [iter(self._run(branches[::k]))]
+            # maximise searches its own share one branch per merge step, so
+            # a worker's raise of the floor is seen before the share goes on
+            # at a stale floor; collect's branches are independent, so it
+            # searches its whole share while the workers search theirs
+            own = self._run(branches[::k], floor)
+            streams = [iter(list(own)) if self.collecting else own]
             for w in range(1, k):
                 pipe = pipes[w - 1] if w <= len(pipes) else None
-                streams.append(self._replies(pipe, branches[w::k]))
-            self._merge(streams, len(branches), base)
+                streams.append(self._replies(pipe, branches[w::k], floor))
+            if self.collecting:
+                self._merge(streams, len(branches), base, walked)
+                return []
+            return self._merge_floor(streams, branches, base, floor)
         finally:
             for pipe in pipes:
                 pipe.close()
@@ -567,56 +623,64 @@ class _CliqueSearch:
                     pass
                 os.waitpid(pid, 0)
 
-    def _serve(self, branches: list[tuple[int, int, int]], write: int, unused: list[int]) -> NoReturn:
+    def _serve(self, branches: list[_Branch], floor: int, write: int, unused: list[int]) -> NoReturn:
         """A worker's whole life: close the parent's pipe ends it inherited,
         search its branches, write their records to the pipe as plain
         pickled tuples, and leave by os._exit, so no exception, buffer or
-        exit handler of the parent's runs here."""
+        exit handler of the parent's runs here. A maximise record is sent
+        as soon as its branch is searched, since the merge waits for it; a
+        collect worker searches its whole share first, so a full pipe never
+        holds its search up."""
         code = 1
         try:
             for fd in unused:
                 os.close(fd)
-            records = self._run(branches)
+            records = self._run(branches, floor)
+            if self.collecting:
+                records = list(records)
             with os.fdopen(write, "wb") as pipe:
                 for record in records:
                     pickle.dump(record, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
             code = 0
         finally:
             os._exit(code)
 
-    def _run(self, branches: Sequence[tuple[int, int, int]]) -> list[_Record]:
-        """Search branches in turn from an empty count and list, as one
-        process searches the whole root, and return one record per branch
-        searched: (cliques counted, those listed or None once the list was
-        dropped, nodes, stop). stop is "cap" when the running count passed
-        the cap, "time" past the deadline, else None; a stop ends the run."""
-        self.count, self.found = 0, []
-        ticks = self.deadline.ticks
-        marks = []
+    def _run(self, branches: Sequence[_Branch], floor: int) -> Iterator[_Record]:
+        """Search branches in turn, each from `floor`, and yield each one's
+        record (_Record) once it is searched. Collect keeps one running
+        count and list over the run, as one process does over the whole
+        root, so it stops once its count passes the cap. The run ends at a
+        branch that stopped ("done" or "time") or, in maximise, raised the
+        floor: the branches after it would start from a stale floor.
+
+        Each branch starts from `floor`, an empty stack and the run's own
+        count and list, so two runs of this process may take turns."""
+        count, found = 0, []
+        stack = self.stack
         for branch in branches:
-            self.stack.clear()
+            self.floor, self.count, self.found = floor, count, found
+            size = 0 if found is None else len(found)
+            ticks = self.deadline.ticks
             stop = None
             try:
-                self._walk((branch,))
+                self._walk([branch])
             except _Done:
-                stop = "cap"
+                stop = "done"
             except _Timeout:
                 stop = "time"
-            size = 0 if self.found is None else len(self.found)
-            marks.append((self.count, size, self.deadline.ticks, stop))
-            if stop:
-                break
-        self.stack.clear()
-        found = self.found
-        records = []
-        count = size = 0
-        for c, s, t, stop in marks:
-            records.append((c - count, None if found is None else found[size:s], t - ticks, stop))
-            count, size, ticks = c, s, t
-        return records
+            stack.clear()
+            nodes = self.deadline.ticks - ticks
+            if self.collecting:
+                new, count, found = self.count - count, self.count, self.found
+                yield new, None if found is None else found[size:], nodes, stop
+            else:
+                yield self.floor, self.best if self.floor > floor else None, nodes, stop
+            if stop or self.floor > floor:
+                return
 
     def _replies(
-        self, pipe: BinaryIO | None, branches: list[tuple[int, int, int]]
+        self, pipe: BinaryIO | None, branches: list[_Branch], floor: int
     ) -> Iterator[_Record]:
         """A worker's records, read as the merge asks for them. If the
         worker died before it sent them all, or was never started (pipe
@@ -627,23 +691,30 @@ class _CliqueSearch:
             except (EOFError, pickle.UnpicklingError):  # the stream was cut short
                 record = None
             if record is None:
-                yield from self._run(branches[done:])
+                yield from self._run(branches[done:], floor)
                 return
             yield record
             if record[3]:
                 return
 
-    def _merge(self, streams: list[Iterator[_Record]], total: int, base: int) -> None:
-        """Fold the records of `total` branches in branch order, branch j
-        from streams[j % k], into the count and list one process would hold:
-        stop at the first branch where the count passes the cap or a process
-        stopped at its own cap (its count was clamped, so the sum can miss
-        that), and drop the list once the count passes keep. Raises _Done or
-        _Timeout as one process would have; `deadline.ticks` becomes base
-        plus the nodes of every branch merged."""
+    def _merge(
+        self,
+        streams: list[Iterator[_Record]],
+        total: int,
+        base: int,
+        walked: tuple[int, list[tuple[int, ...]] | None],
+    ) -> None:
+        """Fold collect's records of `total` branches in branch order, branch
+        j from streams[j % k], after the count and list of the branches
+        walked before the split, into the count and list one process would
+        hold: stop at the first branch where the count passes the cap or a
+        process stopped at its own cap (its count was clamped, so the sum
+        can miss that), and drop the list once the count passes keep. Raises
+        _Done or _Timeout as one process would have; `deadline.ticks`
+        becomes base plus the nodes of every branch merged."""
         cap, keep, k = self.cap, self.keep, len(streams)
-        count = nodes = 0
-        merged: list[tuple[int, ...]] | None = []
+        count, merged = walked
+        nodes = 0
         capped = timed_out = False
         for j in range(total):
             # None: that process stopped at an earlier branch of its own
@@ -653,7 +724,7 @@ class _CliqueSearch:
             counted, cliques, ticks, stop = record
             count += counted
             nodes += ticks
-            capped = count > cap or stop == "cap"
+            capped = count > cap or stop == "done"
             if capped:
                 count = cap
             if merged is not None:
@@ -670,6 +741,39 @@ class _CliqueSearch:
             raise _Done
         if timed_out:
             raise _Timeout
+
+    def _merge_floor(
+        self, streams: list[Iterator[_Record]], branches: list[_Branch], base: int, floor: int
+    ) -> list[_Branch]:
+        """Read maximise's records in branch order, branch j from
+        streams[j % k], while the floor is still the split's, and return
+        the branches after the first one that raised it, for the root to
+        search from the new floor.
+
+        A branch's outcome depends only on the floor it starts from, so each
+        record read before the first raise is the one a single process would
+        have made, and so is the raise. It becomes the incumbent, and
+        `deadline.ticks` becomes base plus the nodes of every branch read.
+        Raises _Done if the raise reached `stop`. Raises _Timeout at the
+        first branch whose process passed its deadline there, with the bound
+        max(floor, that branch's color): every branch before it ended at the
+        floor, and every clique not searched lies in it or a later branch,
+        whose colors are at most its color (see _CliqueSearch)."""
+        k = len(streams)
+        nodes = 0
+        for j, (color, _, _) in enumerate(branches):
+            value, clique, ticks, stop = next(streams[j % k])
+            if stop == "time":
+                self.bound = max(floor, color)
+                raise _Timeout
+            nodes += ticks
+            self.deadline.ticks = base + nodes
+            if value > floor:
+                self.floor, self.best = value, clique
+                if stop:
+                    raise _Done
+                return branches[j + 1 :]
+        return []
 
     def _expand(self, size: int, pool: int) -> None:
         self.deadline.check()
@@ -758,6 +862,10 @@ def max_independent_set(
     `symmetries`, permutations of g's vertices (`perm[v]` is v's image),
     prune the search's root by orbits; each is checked as an automorphism
     of g first, and ValueError is raised for one that is not.
+    A search past its first few hundred nodes runs its root's remaining
+    branches on the CPUs in the process's affinity mask; an exact result is
+    the one a single process gives, and only the bound of a stopped search
+    may depend on how many CPUs there are.
     """
     return _max_independent_set(g, time_limit, stop, symmetries)
 
@@ -806,8 +914,9 @@ def enumerate_maximum_independent_sets(
     `symmetries`, permutations of g's vertices checked as automorphisms as
     in max_independent_set, let the search list the sets by orbits while
     at most min(count cap, keep) of them exist; the result is the same.
-    The search's root branches run on the CPUs in the process's affinity
-    mask, and only a time-limit stop depends on how many there are.
+    Past its first few hundred nodes, the search's root branches run on the
+    CPUs in the process's affinity mask, and only a time-limit stop depends
+    on how many there are.
     """
     if not 1 <= target_size <= g.n:
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")

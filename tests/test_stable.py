@@ -161,9 +161,10 @@ class TestMaxIndependentSet:
 
 @pytest.fixture
 def one_worker(monkeypatch):
-    """Search collect's root in one process. A split search counts its
-    nodes in each process, so a test that counts the nodes of a stopped
-    search, or stops a stub deadline at each of them, runs at one worker."""
+    """Search the root of maximise and collect in one process. A split
+    search counts its nodes in each process, so a test that counts the
+    nodes of a stopped search, or stops a stub deadline at each of them,
+    runs at one worker."""
     monkeypatch.setattr(stable, "_workers", lambda: 1)
 
 
@@ -181,6 +182,7 @@ class _StopAt:
 
 
 class TestStoppedSearchBound:
+    @pytest.mark.usefixtures("one_worker")
     def test_every_stop_holds_a_bound_between_alpha_and_the_greedy_bound(
         self, monkeypatch
     ):
@@ -267,6 +269,7 @@ class TestOrbitPruning:
                     max_independent_set(g, symmetries=[bad])
         assert rejected > 30
 
+    @pytest.mark.usefixtures("one_worker")
     def test_every_stop_holds_a_bound_at_least_alpha(self, monkeypatch):
         rng = random.Random(43)
         stops = 0
@@ -486,10 +489,15 @@ def no_child_left():
 
 
 class TestSplitRoot:
-    """collect's root split across processes, with _workers patched to 2
-    and 3: the one-worker result on the graphs of the node-for-node and
-    orbit-listing tests and on the queen boards, the one-worker node count
-    whenever the search did not stop, and no worker left behind."""
+    """The root split across processes, with _workers patched to 2 and 3
+    and the work gate to 0, so that small searches split too: collect's and
+    maximise's one-worker results on the graphs of the node-for-node,
+    orbit and queen tests, the one-worker node count whenever the search
+    did not stop, and no worker left behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_gate(self, monkeypatch):
+        monkeypatch.setattr(stable, "_GATE", 0)
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -601,6 +609,125 @@ class TestSplitRoot:
                     truncated += res.truncated
         assert splits[0] > 200 and truncated > 200
 
+    @pytest.fixture
+    def resplits(self, monkeypatch):
+        """The number of split maximise searches so far that went on at a
+        raised floor (the merge returned the branches after the raise),
+        as a one-item list."""
+        calls = [0]
+        merge = _CliqueSearch._merge_floor
+
+        def counted(search, *args):
+            rest = merge(search, *args)
+            calls[0] += bool(rest)
+            return rest
+
+        monkeypatch.setattr(_CliqueSearch, "_merge_floor", counted)
+        return calls
+
+    @staticmethod
+    def maximise_at_each_worker_count(monkeypatch, adj, **kwargs):
+        """Check that maximise(**kwargs) gives one worker's witness and node
+        count at 2 and 3 workers."""
+        for k in (1, 2, 3):
+            monkeypatch.setattr(stable, "_workers", lambda k=k: k)
+            search = _CliqueSearch(adj, 60.0)
+            got = search.maximise(**kwargs), search.deadline.ticks
+            if k == 1:
+                one = got
+            assert got == one, (k, kwargs)
+
+    def test_maximise_on_the_reference_graphs_gives_the_one_worker_result(
+        self, monkeypatch, splits, resplits
+    ):
+        # the graphs and stops of test_maximise_and_collect_match_node_for_node
+        rng = random.Random(13)
+        resplit = 0
+        for _ in range(200):
+            g = random_graph(rng.randint(8, 40), rng.uniform(0.1, 0.9), rng)
+            adj = g.complement().adj
+            omega = len(_CliqueSearch(adj, 60.0).maximise())
+            before = resplits[0]
+            for stop in (None, omega, omega - 1):
+                self.maximise_at_each_worker_count(monkeypatch, adj, stop=stop)
+            resplit += resplits[0] > before
+        assert splits[0] > 500 and resplit >= 20
+
+    def test_maximise_on_the_planted_graphs_gives_the_one_worker_result(
+        self, monkeypatch, splits, resplits
+    ):
+        # the graphs of TestOrbitPruning.test_same_alpha_and_no_more_nodes,
+        # then those of test_orbit_pruned_maximise_matches_node_for_node
+        rng = random.Random(41)
+        graphs = [TestOrbitPruning.planted(rng, 8, (0.2, 0.6)) for _ in range(400)]
+        rng = random.Random(14)
+        for _ in range(200):
+            n = rng.randint(8, 40)
+            g, sigma = graph_with_automorphism(n, rng.uniform(0.1, 0.9), rng, rng.random() < 0.5)
+            graphs.append((g, powers(sigma) if rng.random() < 0.5 else [sigma]))
+        resplit = 0
+        for g, symmetries in graphs:
+            before = resplits[0]
+            for maps in ((), symmetries):
+                self.maximise_at_each_worker_count(
+                    monkeypatch, g.complement().adj, symmetries=maps
+                )
+            resplit += resplits[0] > before
+        assert splits[0] > 200 and resplit >= 20
+
+    def test_queen9_9_alpha_tilde_gives_the_one_worker_result(self, monkeypatch, splits):
+        adj, symmetries = queen_orbits(9)
+        # alpha~ is 7: a stop at it, below it, and none
+        for stop in (None, 7, 6):
+            self.maximise_at_each_worker_count(monkeypatch, adj, stop=stop, symmetries=symmetries)
+        search = _CliqueSearch(adj, 60.0)
+        assert len(search.maximise(symmetries=symmetries)) == 7
+        assert search.deadline.ticks == 2776 and splits[0] >= 6
+
+    def test_a_walked_prefix_then_a_split_gives_the_one_worker_result(self, monkeypatch, splits):
+        rng = random.Random(17)
+        for _ in range(40):
+            g = random_graph(rng.randint(20, 40), rng.uniform(0.2, 0.8), rng)
+            adj = g.complement().adj
+            omega = len(_CliqueSearch(adj, 60.0).maximise())
+            for run in (
+                lambda s: s.maximise(),
+                lambda s: s.collect(omega, 5000),
+                lambda s: s.collect(max(omega - 1, 1), 5000, 3),
+                lambda s: s.collect(max(omega - 1, 1), 7),
+            ):
+                monkeypatch.setattr(stable, "_workers", lambda: 1)
+                search = _CliqueSearch(adj, 60.0)
+                one = run(search), search.deadline.ticks
+                # the gate halfway through the search: the branches walked
+                # before it are merged first
+                monkeypatch.setattr(stable, "_GATE", one[1] // 2)
+                for got in self.at_each_worker_count(monkeypatch, adj, run)[1:]:
+                    assert got[0] == one[0]
+                    # a collect stopped at its cap may count other nodes
+                    assert isinstance(one[0], tuple) and one[0][2] or got[1] == one[1]
+        assert splits[0] > 100
+
+    def test_a_stub_deadline_that_stops_every_process_holds_a_bound(self, monkeypatch, splits):
+        rng = random.Random(18)
+        stops = stopped = 0
+        while stops < 600:
+            g = random_graph(rng.randint(20, 40), rng.uniform(0.2, 0.8), rng)
+            alpha = len(reference_clique_search(g.complement().adj)[0])
+            greedy = greedy_coloring_alpha_bar(g)
+            for k in (2, 3):
+                monkeypatch.setattr(stable, "_workers", lambda k=k: k)
+                for stop in range(2, 12):
+                    # each process counts checks on its own copy: the root's
+                    # is the first, so the second is each process's first node
+                    monkeypatch.setattr(stable, "_Deadline", lambda seconds: _StopAt(stop))
+                    res = max_independent_set(g)
+                    assert alpha <= res.value <= greedy
+                    assert res.exact or res.method == "bnb-bound"
+                    stops += 1
+                    stopped += not res.exact
+        assert splits[0] > 200 and stopped > 200
+
     def test_no_worker_outlives_a_call(self, monkeypatch, splits):
         monkeypatch.setattr(stable, "_workers", lambda: 2)
         g = queen_graph(9, 9)
@@ -621,15 +748,15 @@ class TestSplitRoot:
         run, dump = _CliqueSearch._run, pickle.dump
         shares_here = []  # the branch lists this process searched
 
-        def counted(search, branches):
+        def counted(search, branches, floor):
             if os.getpid() == parent:
                 shares_here.append(branches)
-            return run(search, branches)
+            return run(search, branches, floor)
 
-        def killed_before_searching(search, branches):
+        def killed_before_searching(search, branches, floor):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return counted(search, branches)
+            return counted(search, branches, floor)
 
         sent = []  # each worker's own copy starts empty
 
@@ -675,6 +802,76 @@ class TestSplitRoot:
         assert forks[0] == 2 and splits[0] == 1
         assert no_child_left()
 
+    def test_no_worker_outlives_a_maximise(self, monkeypatch, splits):
+        monkeypatch.setattr(stable, "_workers", lambda: 2)
+        adj, symmetries = queen_orbits(9)
+        assert len(_CliqueSearch(adj, 60.0).maximise(symmetries=symmetries)) == 7
+        assert no_child_left()
+        # ends at `stop`, inside the split
+        assert len(_CliqueSearch(adj, 60.0).maximise(7, symmetries)) == 7
+        assert no_child_left()
+        search = _CliqueSearch(adj, 1e-3)
+        with pytest.raises(_Timeout):
+            search.maximise()
+        assert search.bound >= 7 and no_child_left()
+        assert splits[0] >= 3
+
+    def test_a_killed_worker_leaves_its_maximise_branches_to_the_caller(
+        self, monkeypatch, splits
+    ):
+        parent = os.getpid()
+        run, dump = _CliqueSearch._run, pickle.dump
+
+        def killed_before_searching(search, branches, floor):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(search, branches, floor)
+
+        sent = []  # each worker's own copy starts empty
+
+        def killed_after_one_record(record, pipe, *args):
+            if sent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(record)
+            dump(record, pipe, *args)
+            pipe.flush()
+
+        adj, symmetries = queen_orbits(9)
+        monkeypatch.setattr(stable, "_workers", lambda: 1)
+        search = _CliqueSearch(adj, 60.0)
+        one = search.maximise(symmetries=symmetries), search.deadline.ticks
+        for k in (2, 3):
+            monkeypatch.setattr(stable, "_workers", lambda k=k: k)
+            for run_as, dump_as in ((killed_before_searching, dump), (run, killed_after_one_record)):
+                with monkeypatch.context() as m:
+                    m.setattr(_CliqueSearch, "_run", run_as)
+                    m.setattr(stable.pickle, "dump", dump_as)
+                    search = _CliqueSearch(adj, 60.0)
+                    assert (search.maximise(symmetries=symmetries), search.deadline.ticks) == one
+                assert no_child_left()
+        assert splits[0] >= 4
+
+    def test_a_failed_fork_leaves_its_maximise_branches_to_the_caller(self, monkeypatch, splits):
+        adj, symmetries = queen_orbits(9)
+        monkeypatch.setattr(stable, "_workers", lambda: 1)
+        search = _CliqueSearch(adj, 60.0)
+        one = search.maximise(symmetries=symmetries), search.deadline.ticks
+        fork = os.fork
+        forks = [0]
+
+        def second_fails():
+            forks[0] += 1
+            if forks[0] == 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(stable.os, "fork", second_fails)
+        monkeypatch.setattr(stable, "_workers", lambda: 3)
+        search = _CliqueSearch(adj, 60.0)
+        assert (search.maximise(symmetries=symmetries), search.deadline.ticks) == one
+        assert forks[0] >= 2 and splits[0] >= 1
+        assert no_child_left()
+
     def test_one_worker_while_a_thread_is_alive(self):
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
@@ -685,6 +882,35 @@ class TestSplitRoot:
             done.set()
             thread.join()
         assert stable._workers() == len(os.sched_getaffinity(0))
+
+
+class TestWorkGate:
+    """The root forks only once the search has spent stable._GATE nodes."""
+
+    def test_a_search_under_the_gate_never_forks(self, monkeypatch):
+        forks = [0]
+
+        def no_fork():
+            forks[0] += 1
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(stable.os, "fork", no_fork)
+        monkeypatch.setattr(stable, "_workers", lambda: 2)
+        rng = random.Random(19)
+        for _ in range(200):
+            g = random_graph(rng.randint(8, 16), rng.uniform(0.1, 0.9), rng)
+            alpha, sets = brute_alpha_and_sets(g)
+            adj = g.complement().adj
+            search = _CliqueSearch(adj, 60.0)
+            assert len(search.maximise()) == alpha
+            listing = _CliqueSearch(adj, 60.0)
+            assert listing.collect(alpha, 5000) == (sets, len(sets), False)
+            assert max(search.deadline.ticks, listing.deadline.ticks) < stable._GATE
+        assert forks[0] == 0
+        # a search past the gate does try to fork, and the failed fork
+        # leaves its branches to the caller
+        assert enumerate_maximum_independent_sets(queen_graph(9, 9), 9).count == 352
+        assert forks[0] == 1
 
 
 class TestEnumeration:
