@@ -376,9 +376,9 @@ class _CliqueSearch:
 
         Past the work gate the root's branches run on up to _workers()
         processes (_split), and the result is the one a single process
-        gives: the same cliques,
-        count and flag, and, unless the search stopped, the same node count
-        in `deadline.ticks`. Only a deadline stop may find another subset.
+        gives: the same cliques, count and flag, and, unless the search
+        stopped, the same node count in `deadline.ticks`. Only a deadline
+        stop may find another subset.
         """
         self.collecting = True
         self.floor = target - 1
