@@ -41,9 +41,9 @@ Prosser, ACM TOPC, 2015). No thread is started, and where a thread is
 alive or the affinity mask is unknown it stays in one process. Time
 limits are soft; they are checked between branch steps and only flip
 results to inexact/truncated, never change exact outputs. Only such a
-stop can depend on the split: collect lists some subset of the full
-listing, and maximise reports another bound at least alpha, as a
-one-process stop may.
+stop can depend on the split, and it ends as one process's may: at the
+first branch, in order, left unfinished, having listed the branches
+before it and part of it, or with a bound at least alpha.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ _Branch = tuple[int, int, int]
 # collect, the cliques counted and those listed (None once the list was
 # dropped); for maximise, the floor after the branch and the clique that
 # raised it (None if none). Then the nodes, and "done" (the count cap or
-# `stop`), "time" or None for how the process's run stopped there
+# `stop`), "time" or None: only a run's last record says how it stopped
 _Record = tuple[int, list | None, int, str | None]
 
 
@@ -377,8 +377,9 @@ class _CliqueSearch:
         Past the work gate the root's branches run on up to _workers()
         processes (_split), and the result is the one a single process
         gives: the same cliques, count and flag, and, unless the search
-        stopped, the same node count in `deadline.ticks`. Only a deadline
-        stop may find another subset.
+        stopped, the same node count in `deadline.ticks`. A deadline stop
+        lists what a one-process stop may: the branches before the first
+        one left unfinished, and part of that one.
         """
         self.collecting = True
         self.floor = target - 1
@@ -571,7 +572,8 @@ class _CliqueSearch:
         started at. A worker sends one record per branch down its pipe, and
         the caller reads them in branch order: _merge for collect, whose
         branches are independent, and _merge_floor for maximise, whose
-        records hold only until a branch raises the floor. SIGINT is held
+        records hold only until a branch raises the floor; both end at
+        the first branch whose process stopped in it. SIGINT is held
         while a worker is forked, so every worker forked is in `pids`, and
         every one is killed and reaped on the way out, whatever the way out.
         """
@@ -682,9 +684,9 @@ class _CliqueSearch:
     def _replies(
         self, pipe: BinaryIO | None, branches: list[_Branch], floor: int
     ) -> Iterator[_Record]:
-        """A worker's records, read as the merge asks for them. If the
-        worker died before it sent them all, or was never started (pipe
-        None), this process searches the branches it did not report."""
+        """A worker's records, read as the merge asks: none past the one
+        that ended its run. If the worker died before it sent them all, or
+        was never started (pipe None), this process searches the rest."""
         for done in range(len(branches)):
             try:
                 record = pickle.load(pipe) if pipe else None
@@ -694,8 +696,6 @@ class _CliqueSearch:
                 yield from self._run(branches[done:], floor)
                 return
             yield record
-            if record[3]:
-                return
 
     def _merge(
         self,
@@ -708,39 +708,31 @@ class _CliqueSearch:
         j from streams[j % k], after the count and list of the branches
         walked before the split, into the count and list one process would
         hold: stop at the first branch where the count passes the cap or a
-        process stopped at its own cap (its count was clamped, so the sum
-        can miss that), and drop the list once the count passes keep. Raises
-        _Done or _Timeout as one process would have; `deadline.ticks`
-        becomes base plus the nodes of every branch merged."""
+        process stopped, at its own cap (its count was clamped, so the sum
+        can miss that) or its deadline, as _merge_floor does, and drop the
+        list once the count passes keep. Raises _Done or _Timeout as one
+        process would have; `deadline.ticks` becomes base plus the nodes of
+        every branch merged."""
         cap, keep, k = self.cap, self.keep, len(streams)
         count, merged = walked
         nodes = 0
-        capped = timed_out = False
         for j in range(total):
-            # None: that process stopped at an earlier branch of its own
-            record = next(streams[j % k], None)
-            if record is None:
-                continue
-            counted, cliques, ticks, stop = record
+            counted, cliques, ticks, stop = next(streams[j % k])
             count += counted
             nodes += ticks
-            capped = count > cap or stop == "done"
-            if capped:
-                count = cap
+            if count > cap or stop == "done":
+                count, stop = cap, "done"
             if merged is not None:
                 if cliques is None or count > keep:
                     merged = None
                 else:
                     merged += cliques[: cap - len(merged)]
-            timed_out = timed_out or stop == "time"
-            if capped:
+            if stop:
                 break
         self.count, self.found = count, merged
         self.deadline.ticks = base + nodes
-        if capped:
-            raise _Done
-        if timed_out:
-            raise _Timeout
+        if stop:
+            raise _Done if stop == "done" else _Timeout
 
     def _merge_floor(
         self, streams: list[Iterator[_Record]], branches: list[_Branch], base: int, floor: int
@@ -916,7 +908,8 @@ def enumerate_maximum_independent_sets(
     at most min(count cap, keep) of them exist; the result is the same.
     Past its first few hundred nodes, the search's root branches run on the
     CPUs in the process's affinity mask, and only a time-limit stop depends
-    on how many there are.
+    on how many there are; like a one-process stop, it holds the sets of the
+    root branches before the first unfinished one, and some of that one's.
     """
     if not 1 <= target_size <= g.n:
         raise ValueError(f"target size {target_size} out of range 1..{g.n}")

@@ -26,6 +26,7 @@ from sumcol.misgraph import _member_maps, alpha_tilde, build_mis_graph
 from sumcol.stable import (
     Budget,
     _CliqueSearch,
+    _Done,
     _smallest_last,
     _Timeout,
     enumerate_maximum_independent_sets,
@@ -882,6 +883,41 @@ class TestSplitRoot:
             done.set()
             thread.join()
         assert stable._workers() == len(os.sched_getaffinity(0))
+
+
+class TestCollectMerge:
+    """Collect's merge on hand-made records of three branches, two streams
+    taking turns (branches 0 and 2 from the first): it ends at the first
+    branch whose process stopped there, as a stop in one process does."""
+
+    @staticmethod
+    def merged(streams, walked, cap):
+        """What _merge raised and the count, list and node count it left,
+        from 100 nodes before the split."""
+        search = _CliqueSearch(path_graph(4).complement().adj, 60.0)
+        search.collecting, search.cap, search.keep = True, cap, cap
+        with pytest.raises((_Done, _Timeout)) as stopped:
+            search._merge([iter(records) for records in streams], 3, 100, walked)
+        return stopped.type, search.count, search.found, search.deadline.ticks
+
+    def test_a_deadline_stop_ends_the_merge_at_its_branch(self):
+        # branch 1's process passed its deadline in it; branch 2 was finished
+        streams = [
+            [(2, [(1,), (2,)], 5, None), (3, [(4,), (5,), (6,)], 11, None)],
+            [(1, [(3,)], 7, "time")],
+        ]
+        got = self.merged(streams, (1, [(0,)]), cap=10)
+        assert got == (_Timeout, 4, [(0,), (1,), (2,), (3,)], 112)
+
+    def test_a_process_done_at_its_own_cap_ends_the_merge_at_its_branch(self):
+        # branch 1's process passed the cap of 3 and clamped its own count to
+        # it, so the merged count, 3, does not pass the cap
+        streams = [
+            [(0, [], 4, None), (1, [(9,)], 3, None)],
+            [(3, [(1,), (2,), (3,)], 7, "done")],
+        ]
+        got = self.merged(streams, (0, []), cap=3)
+        assert got == (_Done, 3, [(1,), (2,), (3,)], 111)
 
 
 class TestWorkGate:
