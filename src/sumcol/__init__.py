@@ -41,7 +41,6 @@ from .partitions import (
     enumerate_admissible,
     is_admissible,
     lattice_dag,
-    linewise_add,
     oracle_min,
     predecessors,
     successors,
@@ -92,7 +91,6 @@ __all__ = [
     "lattice_dag",
     "lb_chi",
     "lbm_sigma",
-    "linewise_add",
     "max_independent_set",
     "myciel_graph",
     "mycielskian",

@@ -4,10 +4,13 @@ Any proper coloring of a graph with n vertices induces an integer
 partition of n: the sorted color class sizes. Relaxing "class = independent
 set" to three counting constraints (classes capped at alpha_bar, at most m
 classes of size alpha_bar, at least s_lower classes) leaves a partition
-problem whose optimum has a closed form. Its cost lower-bounds the
-chromatic sum, and its class count lower-bounds the chromatic number.
+problem. Each constraint caps the vertices the first j classes can hold by
+a line in j: j*alpha_bar, m + j*(alpha_bar - 1) and n - s_lower + j. Their
+minimum is concave, so filling each class up to the cap is optimal (_fill).
+The cost lower-bounds the chromatic sum, and the class count lower-bounds
+the chromatic number.
 
-All formulas were cross-checked against the brute-force oracle in
+All bounds were cross-checked against the brute-force oracle in
 partitions.oracle_min over the full feasible parameter grid (see tests).
 """
 
@@ -21,12 +24,7 @@ from .graph import Graph
 from .instances import board_symmetries
 from .misgraph import alpha_tilde as _alpha_tilde
 from .misgraph import build_mis_graph
-from .partitions import (
-    BoundParams,
-    InfeasibleParamsError,
-    IntegerPartition,
-    linewise_add,
-)
+from .partitions import BoundParams, InfeasibleParamsError, IntegerPartition
 from .stable import (
     AlphaResult,
     Budget,
@@ -37,19 +35,37 @@ from .stable import (
 REPORT_SCHEMA = "sumcol-report-v1"
 
 
-def _column(n: int) -> IntegerPartition:
-    return IntegerPartition((1,) * n)
+def _fill(n: int, caps: tuple[tuple[int, int], ...]) -> tuple[int, IntegerPartition]:
+    """Cheapest partition of n whose first j parts hold at most a*j + b
+    squares for every cap (a, b), with its cost.
+
+    Part j is P_j - P_(j-1), where P_j = min(n, every a*j + b) and P_0 = 0.
+    A square on line j costs j, so the cost is the sum over j >= 0 of
+    n - P_j, and the greedy prefixes P_j minimise every term. The minimum
+    of lines is concave, so the parts never increase. Caps that stall
+    short of n raise InfeasibleParamsError.
+    """
+    parts = []
+    value = total = 0
+    while total < n:
+        j = len(parts) + 1
+        cap = min(n, *(a * j + b for a, b in caps))
+        if cap <= total:
+            raise InfeasibleParamsError(f"no admissible partition: caps {caps} hold {total} of {n}")
+        parts.append(cap - total)
+        value += j * (cap - total)
+        total = cap
+    return value, IntegerPartition(tuple(parts))
 
 
 def sigma_m0(n: int, alpha_bar: int, m: int) -> tuple[int, IntegerPartition]:
     """Minimum partition cost without the minimum-class-count constraint.
 
-    m is clamped to floor(n / alpha_bar) (more alpha_bar-sized parts than
-    that cannot fit in n). Splitting n as
-    n - m*alpha_bar = q*(alpha_bar - 1) + r with 0 <= r < alpha_bar - 1,
-    the optimum packs greedily: m parts of alpha_bar, q parts of
-    alpha_bar - 1, then r. With alpha_bar = 1 the only shape is the
-    all-ones column. n = 0 yields the empty partition at cost 0.
+    The fill over the caps j*alpha_bar and m + j*(alpha_bar - 1): m parts of
+    alpha_bar (at most floor(n / alpha_bar) fit), then parts of
+    alpha_bar - 1, then the remainder. With alpha_bar = 1 the only shape is
+    the all-ones column, whatever m. n = 0 yields the empty partition at
+    cost 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -57,47 +73,24 @@ def sigma_m0(n: int, alpha_bar: int, m: int) -> tuple[int, IntegerPartition]:
         raise ValueError("alpha_bar must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if n == 0:
-        return 0, IntegerPartition(())
-    if alpha_bar == 1:
-        return n * (n + 1) // 2, _column(n)
-    m_eff = min(m, n // alpha_bar)
-    q, r = divmod(n - m_eff * alpha_bar, alpha_bar - 1)
-    value = (
-        m_eff * (m_eff + 1) // 2 * alpha_bar
-        + q * (2 * m_eff + q + 1) // 2 * (alpha_bar - 1)
-        + (m_eff + q + 1) * r
-    )
-    parts = (alpha_bar,) * m_eff + (alpha_bar - 1,) * q + ((r,) if r else ())
-    return value, IntegerPartition(parts)
+    return _fill(n, ((alpha_bar, 0), (alpha_bar - 1, m if alpha_bar > 1 else n)))
 
 
 def sigma_m(p: BoundParams) -> tuple[int, IntegerPartition]:
     """Minimum partition cost under all constraints, with a witness.
 
-    When the unconstrained optimum already has at least s_lower nonzero
-    parts it stands. Otherwise the optimum reserves one square on each of
-    the first s_lower lines (cost s_lower*(s_lower+1)/2) and distributes
-    the remaining n - s_lower squares with the part cap lowered by one;
-    the witness is the line-by-line sum of both diagrams.
+    sigma_m0's fill with one more cap, n - s_lower + j: the first j classes
+    leave at least one vertex for each of the other s_lower - j. Raises
+    InfeasibleParamsError when no admissible partition exists.
     """
-    if not p.is_feasible():
-        raise InfeasibleParamsError(f"no admissible partition for {p}")
-    if p.alpha_bar == 1:
-        return p.n * (p.n + 1) // 2, _column(p.n)
-    value, witness = sigma_m0(p.n, p.alpha_bar, p.m)
-    if len(witness.parts) >= p.s_lower:
-        return value, witness
-    base = p.s_lower * (p.s_lower + 1) // 2
-    rest_value, rest = sigma_m0(p.n - p.s_lower, p.alpha_bar - 1, p.m)
-    return base + rest_value, linewise_add(_column(p.s_lower), rest)
+    return _fill(p.n, ((p.alpha_bar, 0), (p.alpha_bar - 1, p.m), (1, p.n - p.s_lower)))
 
 
 def lbm_sigma(n: int, alpha_bar: int, s_lower: int) -> int:
     """Sum-coloring lower bound without any cap on full-size classes.
 
-    Equivalent to sigma_m with m = floor(n / alpha_bar), the largest value
-    the clamp allows. Always <= sigma_m for any tighter m.
+    Equivalent to sigma_m with m = floor(n / alpha_bar), past which the m
+    cap no longer binds. Always <= sigma_m for any tighter m.
     """
     if not 1 <= alpha_bar <= n:
         raise ValueError("alpha_bar must be in 1..n")
@@ -108,9 +101,8 @@ def lbm_sigma(n: int, alpha_bar: int, s_lower: int) -> int:
 def lb_chi(n: int, alpha_bar: int, m: int) -> int:
     """Chromatic number lower bound: the class count of the optimal shape.
 
-    Counts the nonzero parts of sigma_m0's witness: m parts of alpha_bar,
-    q of alpha_bar - 1, plus one for a nonzero remainder. alpha_bar = 1
-    forces n singleton classes.
+    The least j whose cap in sigma_m0's fill reaches n, i.e. the number of
+    parts of sigma_m0's witness. alpha_bar = 1 forces n singleton classes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -233,13 +233,6 @@ def oracle_min(p: BoundParams, limit: int = 40) -> tuple[IntegerPartition, int]:
     return best, best_cost
 
 
-def linewise_add(a: IntegerPartition, b: IntegerPartition) -> IntegerPartition:
-    """Line-by-line sum of two diagrams; cost adds linewise too."""
-    la, lb = len(a.parts), len(b.parts)
-    parts = tuple(a.line(i) + b.line(i) for i in range(1, max(la, lb) + 1))
-    return IntegerPartition(parts)
-
-
 @dataclass(frozen=True)
 class LatticeDag:
     """Admissible partitions of one parameter block wired by successor moves."""

@@ -76,6 +76,39 @@ def brute_alpha_tilde(sets) -> int:
     return best
 
 
+def brute_chromatic_sum_and_number(g: Graph) -> tuple[int, int]:
+    """Chromatic sum and chromatic number by a subset DP over independent sets.
+
+    Giving the next color to an independent set I of the uncolored vertices
+    R bills one unit to every vertex of R (a vertex of color c pays once for
+    each of colors 1..c), so sum(R) = |R| + min sum(R - I) and
+    chi(R) = 1 + min chi(R - I) over the nonempty independent I within R.
+    The two minima may come from different colorings. Each R walks its
+    submasks, 3^n steps in all, hence the cap.
+    """
+    n, adj = g.n, g.adj
+    if n > 9:
+        raise ValueError("brute force capped at n <= 9")
+    indep = bytearray(1 << n)
+    indep[0] = 1
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        indep[mask] = indep[rest] and not adj[low.bit_length() - 1] & rest
+    total = [0] * (1 << n)
+    colors = [0] * (1 << n)
+    for left in range(1, 1 << n):
+        rests = []
+        part = left
+        while part:
+            if indep[part]:
+                rests.append(left ^ part)
+            part = (part - 1) & left
+        total[left] = left.bit_count() + min(total[r] for r in rests)
+        colors[left] = 1 + min(colors[r] for r in rests)
+    return total[-1], colors[-1]
+
+
 def degree_rule_alpha_bar(g: Graph) -> int:
     """Degree-sequence upper bound on alpha(g).
 

@@ -18,7 +18,7 @@ CRITERIA = {
     1: "reference table reproduction, desk scale",
     2: "proven-optimum rows (queen8_8, queen10_10)",
     3: "chromatic lower bound tight on queen instances",
-    4: "closed form equals oracle on the full n <= 14 grid",
+    4: "cap fill equals oracle, witness for witness, on the full n <= 14 grid",
     5: "partition-order properties on all partitions, n <= 12",
     6: "bound chain LBM-sigma <= sigma-M <= chromatic sum",
     7: "solver exactness against brute force",

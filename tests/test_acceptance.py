@@ -19,6 +19,7 @@ from conftest import note
 from sumcol import (
     BoundParams,
     Budget,
+    Graph,
     InfeasibleParamsError,
     IntegerPartition,
     PipelineConfig,
@@ -42,6 +43,7 @@ from sumcol import (
 
 from bruteforce import (
     brute_alpha_and_sets,
+    brute_chromatic_sum_and_number,
     count_independent_combinations,
     queens_row_by_row_count,
     random_graph,
@@ -180,7 +182,8 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    """The closed form equals the brute-force oracle on the whole grid."""
+    """sigma_m's cap fill equals the brute-force oracle, witness for witness,
+    on the whole grid."""
 
     def test_c4_closed_form_matches_oracle_on_the_full_grid(self):
         t0 = time.monotonic()
@@ -192,8 +195,9 @@ class TestCriterion4:
                         params = BoundParams(n, alpha_bar, s_lower, m)
                         if params.is_feasible():
                             value, witness = sigma_m(params)
-                            _, oracle_cost = oracle_min(params)
+                            oracle_witness, oracle_cost = oracle_min(params)
                             assert value == oracle_cost, params
+                            assert witness == oracle_witness, params
                             assert is_admissible(witness, params)
                             assert cost(witness) == value
                             feasible += 1
@@ -344,6 +348,31 @@ class TestCriterion6:
             sigma = get_row(report.instance).sigma
             if sigma is not None:
                 assert report.sigma_m <= sigma, report.instance
+
+    def test_c6_brute_force_chromatic_sum_on_hand_worked_graphs(self):
+        five_cycle = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        assert brute_chromatic_sum_and_number(five_cycle) == (9, 3)
+        for n in range(1, 10):
+            complete = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u)])
+            assert brute_chromatic_sum_and_number(complete) == (n * (n + 1) // 2, n)
+            assert brute_chromatic_sum_and_number(Graph.from_edges(n, [])) == (n, 1)
+
+    def test_c6_computed_chain_under_brute_force_chromatic_sum(self):
+        rng = random.Random(20261021)
+        tight = 0
+        for k in range(200):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng.uniform(0.05, 0.95), rng, name=f"r{k}")
+            chromatic_sum, chi = brute_chromatic_sum_and_number(g)
+            report = compute_bounds_pipeline(g)
+            assert report.sigma_m0 <= report.sigma_m <= chromatic_sum, k
+            assert report.lbm_sigma <= report.sigma_m, k
+            assert report.lb_chi <= chi, k
+            tight += report.sigma_m == chromatic_sum
+        note(
+            "criterion 6 chromatic sum",
+            f"sigma_m met the chromatic sum on {tight} of 200 random graphs",
+        )
 
 
 class TestCriterion7:

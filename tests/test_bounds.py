@@ -65,9 +65,10 @@ class TestSigmaM0:
                     params = BoundParams(n, alpha_bar, 1, m)
                     if not params.is_feasible():
                         continue
-                    _, best_cost = oracle_min(params)
+                    best, best_cost = oracle_min(params)
                     value, witness = sigma_m0(n, alpha_bar, m)
                     assert value == best_cost, (n, alpha_bar, m)
+                    assert witness == best, (n, alpha_bar, m)
                     assert cost(witness) == value
                     assert is_admissible(witness, params)
 

@@ -11,7 +11,6 @@ from sumcol.partitions import (
     enumerate_admissible,
     is_admissible,
     lattice_dag,
-    linewise_add,
     oracle_min,
     predecessors,
     successors,
@@ -200,14 +199,6 @@ class TestEnumerationAndOracle:
         best, best_cost = oracle_min(BoundParams(4, 1, 1, 4))
         assert best == P((1, 1, 1, 1))
         assert best_cost == 10
-
-
-def test_linewise_add():
-    assert linewise_add(P((1, 1, 1)), P((5, 2))) == P((6, 3, 1))
-    assert linewise_add(P(()), P((2, 1))) == P((2, 1))
-    assert linewise_add(P((2, 2)), P((3,))) == P((5, 2))
-    a, b = P((4, 2, 1)), P((3, 3))
-    assert cost(linewise_add(a, b)) == cost(a) + cost(b)
 
 
 class TestLatticeDag:
